@@ -42,8 +42,8 @@ EXIT_CONFIG = 2
 EXIT_BOTTOM = 3
 EXIT_UNKNOWN = 4
 
-DEFAULT_MAX_DEPTH = 32
-DEFAULT_MAX_NODES = 100_000
+DEFAULT_MAX_DEPTH = Budget.max_depth
+DEFAULT_MAX_NODES = Budget.max_nodes
 
 
 def _budget(args: argparse.Namespace) -> Budget:

@@ -258,6 +258,9 @@ class FiniteGroupUniverse:
         return min(mask_translate(self.group, x, g) for g in self.group.elements())
 
     def match_translate(self, x: int, y: int) -> int | None:
+        """First g in numeric order with y == g + x, if one exists."""
+        if x.bit_count() != y.bit_count():
+            return None
         for g in self.group.elements():
             if mask_translate(self.group, x, g) == y:
                 return g
@@ -503,7 +506,6 @@ class Engine:
 
         here = sets + (x,)
         child_levels: list[int] = []
-        pending_unknown: Unknown | None = None
         for g, child in self.universe.children(x):
             counter.tick(budget, shifts + (g,))
             if self.universe.in_family(child):
@@ -540,12 +542,7 @@ class Engine:
                 verdict = NotInThinCompletion(lifted)
                 self._memo[key] = verdict
                 return verdict
-            if isinstance(sub, Unknown):
-                pending_unknown = sub
-                continue
             child_levels.append(sub.level)
-        if pending_unknown is not None:
-            return pending_unknown
         verdict = ExactLevel(1 + max(child_levels, default=0))
         self._memo[key] = verdict
         return verdict

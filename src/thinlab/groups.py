@@ -7,6 +7,7 @@ residues 0..n-1 for Z/n, and d-bit masks for (Z/2)^d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterator
 
 INTEGERS = "integers"
@@ -45,7 +46,7 @@ class GroupDescriptor:
         if self.kind not in (INTEGERS, CYCLIC, BOOLEAN):
             raise ValueError(f"unknown group kind {self.kind!r}")
 
-    @property
+    @cached_property
     def order(self) -> int | None:
         """Group order, or None for Z."""
         if self.kind == INTEGERS:
@@ -168,8 +169,34 @@ def mask_elements(group: GroupDescriptor, mask: int) -> list[int]:
 
 
 def mask_translate(group: GroupDescriptor, mask: int, g: int) -> int:
-    """Bitmask of {g + a : a in mask} under the group operation."""
-    out = 0
-    for a in mask_elements(group, mask):
-        out |= 1 << group.op(g, a)
-    return out
+    """Bitmask of {g + a : a in mask} under the group operation.
+
+    On Z/n this rotates the mask left by g bits.  On (Z/2)^d, XOR with a
+    set bit 2^i of g moves each position by 2^i, exchanging the blocks of
+    2^i bits that differ in bit i of their position, so the translate is
+    one block swap per set bit.
+    """
+    n = group.order
+    if n is None:
+        raise ValueError("bitmask subsets require a finite group")
+    if not 0 <= mask < (1 << n):
+        raise ValueError(f"mask {mask} out of range for {group.describe()}")
+    group._check(g)
+    if group.kind == CYCLIC:
+        return ((mask << g) | (mask >> (n - g))) & ((1 << n) - 1)
+    for bit, low in _swap_masks(group.n):
+        if g & bit:
+            mask = ((mask & low) << bit) | ((mask >> bit) & low)
+    return mask
+
+
+@cache
+def _swap_masks(d: int) -> tuple[tuple[int, int], ...]:
+    """For each bit i < d, the pair (2^i, low): low is the mask of the
+    positions in 0..2^d-1 whose bit i is clear, runs of 2^i ones and 2^i
+    zeros from bit 0 up."""
+    span = (1 << (1 << d)) - 1
+    return tuple(
+        (1 << i, ((1 << (1 << i)) - 1) * (span // ((1 << (2 << i)) - 1)))
+        for i in range(d)
+    )

@@ -35,20 +35,35 @@ BOTTOM = -1
 MAX_LATTICE_BITS = 24
 
 
-def _shift_maps(group: GroupDescriptor) -> dict[int, list[int]]:
-    """For each nonidentity g, the image bit of each element bit."""
+_CHUNK = 8
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+def _shift_maps(group: GroupDescriptor) -> dict[int, tuple[list[int], ...]]:
+    """For each nonidentity g, one image table per 8-bit chunk of a mask:
+    entry v of chunk c is the image under g of the elements 8c + j for
+    the bits j set in v."""
     n = group.order
-    return {
-        g: [1 << group.op(g, a) for a in range(n)] for g in group.nonidentity()
-    }
+    maps = {}
+    for g in group.nonidentity():
+        tables = []
+        for base in range(0, n, _CHUNK):
+            width = min(_CHUNK, n - base)
+            table = [0] * (1 << width)
+            for v in range(1, 1 << width):
+                low = v & -v
+                a = base + low.bit_length() - 1
+                table[v] = table[v ^ low] | (1 << group.op(g, a))
+            tables.append(table)
+        maps[g] = tuple(tables)
+    return maps
 
 
-def _translate(mask: int, bitmap: list[int]) -> int:
+def _translate(mask: int, tables: tuple[list[int], ...]) -> int:
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= bitmap[low.bit_length() - 1]
-        mask ^= low
+    for table in tables:
+        out |= table[mask & _CHUNK_MASK]
+        mask >>= _CHUNK
     return out
 
 
@@ -112,13 +127,14 @@ def build_table(group: GroupDescriptor, family: SizeAtMost) -> OracleTable:
                 continue
             worst = -1
             complete = True
-            for bitmap in maps.values():
-                child = m & _translate(m, bitmap)
+            for tables in maps.values():
+                child = m & _translate(m, tables)
                 lc = levels[child]
                 if lc is None:
                     complete = False
                     break
-                worst = max(worst, lc)
+                if lc > worst:
+                    worst = lc
             if complete:
                 marks.append((m, 1 + worst))
         if not marks:
@@ -153,8 +169,8 @@ def recursive_levels(group: GroupDescriptor, family: SizeAtMost) -> tuple[int, .
         stack.add(m)
         best = 0
         bottom = False
-        for bitmap in maps.values():
-            child = m & _translate(m, bitmap)
+        for tables in maps.values():
+            child = m & _translate(m, tables)
             if family.contains(child):
                 continue
             r = visit(child, stack)
@@ -239,7 +255,7 @@ def boolean_non_additivity_witness(
 
     def thin(mask: int) -> bool:
         return all(
-            family.contains(mask & _translate(mask, bm)) for bm in maps.values()
+            family.contains(mask & _translate(mask, tables)) for tables in maps.values()
         )
 
     for mask in range(1 << group.order):

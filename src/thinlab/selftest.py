@@ -236,16 +236,6 @@ def _suite_union_bounds(ctx: _Ctx) -> SuiteResult:
     return res
 
 
-def _boolean_translate_table(group: GroupDescriptor, x: int) -> list[int]:
-    order = group.order
-    elem = [1 << group.op(x, a) for a in range(order)]
-    table = [0] * (1 << order)
-    for mask in range(1, 1 << order):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | elem[low.bit_length() - 1]
-    return table
-
-
 def _suite_boolean(ctx: _Ctx) -> SuiteResult:
     res = SuiteResult("boolean-non-additivity")
     witness = boolean_non_additivity_witness(3, 1)
@@ -274,7 +264,7 @@ def _suite_boolean(ctx: _Ctx) -> SuiteResult:
         group = GroupDescriptor.boolean_power(d)
         total = 1 << group.order
         for x in group.nonidentity():
-            table = _boolean_translate_table(group, x)
+            table = [mask_translate(group, mask, x) for mask in range(total)]
             for mask in range(total):
                 union = mask | table[mask]
                 res.checks += 1

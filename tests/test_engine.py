@@ -6,9 +6,12 @@ from thinlab.engine import (
     CycleWitness,
     Engine,
     ExactLevel,
+    FiniteGroupUniverse,
     NotInThinCompletion,
     Unknown,
 )
+from thinlab.groups import GroupDescriptor
+from thinlab.ideals import SizeAtMost
 from thinlab.symbolic import ap, empty_set, finite_set, geo, random_set
 
 A = geo(2, 1, 0, 0)  # {2**n}
@@ -381,3 +384,24 @@ def test_witness_validation():
     with pytest.raises(ValueError):
         CycleWitness((2,), 2, 2, 0)
     CycleWitness((2,), 1, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [GroupDescriptor.cyclic(6), GroupDescriptor.boolean_power(3)],
+    ids=lambda g: g.describe(),
+)
+def test_group_match_translate_agrees_with_search_over_all_shifts(group):
+    """The size filter in match_translate never hides a translate."""
+    universe = FiniteGroupUniverse(group, SizeAtMost(group, 1))
+    n = group.order
+
+    def translate(x, g):
+        return sum(1 << group.op(g, a) for a in range(n) if x >> a & 1)
+
+    for x in range(1 << n):
+        first = {}
+        for g in group.elements():
+            first.setdefault(translate(x, g), g)
+        for y in range(1 << n):
+            assert universe.match_translate(x, y) == first.get(y)

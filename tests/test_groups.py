@@ -167,3 +167,50 @@ def test_mask_translate_matches_elementwise(rng):
             )
             assert mask_translate(group, mask, g) == expected
         assert mask_translate(group, full, rng.randrange(group.order)) == full
+
+
+def _translate_by_op(group, mask, g):
+    """Reference translate: one group.op call per element of the mask."""
+    out = 0
+    for a in range(group.order):
+        if mask >> a & 1:
+            out |= 1 << group.op(g, a)
+    return out
+
+
+@pytest.mark.parametrize(
+    "group",
+    [GroupDescriptor.cyclic(n) for n in range(2, 11)]
+    + [GroupDescriptor.boolean_power(d) for d in range(1, 4)],
+    ids=lambda g: g.describe(),
+)
+def test_mask_translate_exhaustive_small(group):
+    for mask in range(1 << group.order):
+        for g in group.elements():
+            assert mask_translate(group, mask, g) == _translate_by_op(group, mask, g)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [GroupDescriptor.cyclic(16), GroupDescriptor.cyclic(24), GroupDescriptor.boolean_power(4)],
+    ids=lambda g: g.describe(),
+)
+def test_mask_translate_random_large(group, rng):
+    full = (1 << group.order) - 1
+    for mask in [0, full] + [rng.randint(0, full) for _ in range(300)]:
+        g = rng.randrange(group.order)
+        assert mask_translate(group, mask, g) == _translate_by_op(group, mask, g)
+
+
+@pytest.mark.parametrize("group", [Z5, B3], ids=lambda g: g.describe())
+def test_mask_translate_validation(group):
+    n = group.order
+    for mask in (0, 1):
+        for g in (True, False, n, -1, 1.0):
+            with pytest.raises(ValueError, match="not in"):
+                mask_translate(group, mask, g)
+    for mask in (1 << n, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            mask_translate(group, mask, 1)
+    with pytest.raises(ValueError, match="finite group"):
+        mask_translate(Z, 1, 1)

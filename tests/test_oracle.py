@@ -9,6 +9,8 @@ from thinlab.ideals import SizeAtMost
 from thinlab.oracle import (
     BOTTOM,
     OracleTable,
+    _shift_maps,
+    _translate,
     boolean_non_additivity_witness,
     build_table,
     cross_check,
@@ -73,6 +75,33 @@ def independent_levels(group: GroupDescriptor, t: int) -> list[int]:
     for m in range(1 << n):
         visit(m)
     return out
+
+
+@pytest.mark.parametrize(
+    "group",
+    [GroupDescriptor.cyclic(9), GroupDescriptor.cyclic(20), GroupDescriptor.cyclic(24), B3],
+    ids=lambda g: g.describe(),
+)
+def test_shift_tables_match_group_op(group, rng):
+    """Every entry of every 8-bit chunk table, including a short last
+    chunk, is the image under group.op of the elements it encodes."""
+    n = group.order
+
+    def image(mask: int, g: int) -> int:
+        return sum(1 << group.op(g, a) for a in range(n) if mask >> a & 1)
+
+    maps = _shift_maps(group)
+    assert sorted(maps) == list(group.nonidentity())
+    for g, tables in maps.items():
+        assert [len(t) for t in tables] == [
+            1 << min(8, n - base) for base in range(0, n, 8)
+        ]
+        for c, chunk in enumerate(tables):
+            for v, out in enumerate(chunk):
+                assert out == image(v << 8 * c, g)
+        full = (1 << n) - 1
+        for mask in (0, full, rng.randint(0, full), rng.randint(0, full)):
+            assert _translate(mask, tables) == image(mask, g)
 
 
 # ---------------------------------------------------------------------------
