@@ -8,7 +8,7 @@ non-membership in the completion with replayable cycle witnesses, and checks
 the quantitative union bounds at desk scale.
 """
 
-from .groups import GroupDescriptor, ScaleBy
+from .groups import GroupDescriptor
 from .ideals import FiniteSets, SizeAtMost
 from .symbolic import SymbolicSet, GeoTerm, APTerm, geo, ap, finite_set, empty_set
 from .engine import (
@@ -25,7 +25,6 @@ from .engine import (
 
 __all__ = [
     "GroupDescriptor",
-    "ScaleBy",
     "FiniteSets",
     "SizeAtMost",
     "SymbolicSet",

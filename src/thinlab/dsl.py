@@ -253,9 +253,4 @@ def parse_set(text: str, base: int = 2) -> SymbolicSet:
 
 def format_set(a: SymbolicSet) -> str:
     """Canonical printable form; parse_set(format_set(a)) == a."""
-    bits = []
-    if a.finite:
-        bits.append("{" + ",".join(str(x) for x in a.finite) + "}")
-    bits.extend(f"geo({t.base},{t.coeff},{t.offset},{t.n0})" for t in a.geos)
-    bits.extend(f"ap({t.modulus},{t.residue})" for t in a.aps)
-    return " | ".join(bits) if bits else "{}"
+    return repr(a)

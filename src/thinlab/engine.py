@@ -30,7 +30,7 @@ from typing import Iterable
 
 from .groups import GroupDescriptor, mask_elements, mask_translate
 from .ideals import FiniteSets, SizeAtMost
-from .symbolic import SymbolicSet
+from .symbolic import ShiftSpectrum, SymbolicSet
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,19 @@ class _Counter:
             raise _BudgetStop(len(path), self.nodes, self.deepest)
 
 
+def _branches(spectrum: ShiftSpectrum) -> list[tuple[int, SymbolicSet]]:
+    """Explicit shifts with infinite child plus one representative per
+    residue class of shifts, sorted by shift; sufficient for rank and
+    well-foundedness.  A set without a periodic part has no classes."""
+    out = [(g, c) for g, c in spectrum.explicit if not c.is_finite()]
+    seen = {g for g, _ in out}
+    for cls in spectrum.classes:
+        if cls.representative not in seen:
+            seen.add(cls.representative)
+            out.append((cls.representative, cls.child))
+    return sorted(out)
+
+
 class SymbolicUniverse:
     """Symbolic subsets of Z over the family of finite sets."""
 
@@ -155,22 +168,11 @@ class SymbolicUniverse:
         return x.intersect(x.translate(g))
 
     def children(self, x: SymbolicSet) -> list[tuple[int, SymbolicSet]]:
-        """All branches with infinite child, for sets without a periodic
-        part.  (Periodic sets take the cycle-hunting path instead.)"""
-        spectrum = x.shift_spectrum()
-        return [(g, c) for g, c in spectrum.explicit if not c.is_finite()]
-
-    def rank_children(self, x: SymbolicSet) -> list[tuple[int, SymbolicSet]]:
-        """Infinite-child branches plus one representative per residue
-        class of shifts; sufficient for rank and well-foundedness."""
-        spectrum = x.shift_spectrum()
-        out = [(g, c) for g, c in spectrum.explicit if not c.is_finite()]
-        seen = {g for g, _ in out}
-        for cls in spectrum.classes:
-            if cls.representative not in seen:
-                seen.add(cls.representative)
-                out.append((cls.representative, cls.child))
-        return sorted(out)
+        """Branches of the derivation tree at x, from its shift spectrum:
+        every shift with an infinite child, residue classes of such shifts
+        by one representative each.  Classify reaches this only for sets
+        without a periodic part, which have no classes."""
+        return _branches(x.shift_spectrum())
 
     def periodic(self, x: SymbolicSet) -> int | None:
         return x.period
@@ -185,9 +187,9 @@ class SymbolicUniverse:
         if x.finite:
             return min(x.finite)
         if x.aps:
-            p = x.aps[0].modulus
-            best = min(range(p), key=lambda r: x.translate(-r).aps)
-            return best
+            # the least residue tuple starts with 0, so only a shift taking
+            # a present residue to 0 can give it
+            return min((t.residue for t in x.aps), key=lambda r: x.translate(-r).aps)
         return None
 
     def match_translate(self, x: SymbolicSet, y: SymbolicSet) -> int | None:
@@ -201,10 +203,12 @@ class SymbolicUniverse:
         elif x.finite:
             t = y.finite[0] - x.finite[0]
         elif x.aps:
+            # x.translate(t) == y needs t to take x's first residue to one of y's
             p = x.aps[0].modulus
-            for r in range(p):
-                if x.translate(r) == y:
-                    return r
+            r0 = x.aps[0].residue
+            for t in sorted({(s.residue - r0) % p for s in y.aps}):
+                if x.translate(t) == y:
+                    return t
             return None
         else:
             t = 0
@@ -246,10 +250,8 @@ class FiniteGroupUniverse:
         return x & mask_translate(self.group, x, g)
 
     def children(self, x: int) -> list[tuple[int, int]]:
+        """(g, x & (g + x)) for every nonidentity g."""
         return [(g, self.derive(x, g)) for g in self.group.nonidentity()]
-
-    def rank_children(self, x: int) -> list[tuple[int, int]]:
-        return self.children(x)
 
     def periodic(self, x: int) -> None:
         return None
@@ -367,21 +369,7 @@ class Engine:
     def is_thin(self, x) -> bool:
         """True when every derived child lies in the base family."""
         self.universe.validate(x)
-        if isinstance(self.universe, SymbolicUniverse):
-            spectrum = x.shift_spectrum()
-            if spectrum.classes:
-                return False
-            return not any(not c.is_finite() for _, c in spectrum.explicit)
-        return all(
-            self.universe.in_family(c) for _, c in self.universe.children(x)
-        )
-
-    def level_at_most(self, x, k: int) -> bool:
-        """Whether x sits at hierarchy level k or below."""
-        if k < 0:
-            raise ValueError("level bound must be >= 0")
-        self.universe.validate(x)
-        return self._at_most(x, k, ())
+        return all(self.universe.in_family(c) for _, c in self.universe.children(x))
 
     def tree_rank(self, x, budget: Budget | None = None):
         """Rank of the derivation tree: an integer, NOT_WELL_FOUNDED, or
@@ -404,7 +392,7 @@ class Engine:
                 raise _BudgetStop(len(shifts), counter.nodes, shifts)
             best = 0
             outside = False
-            for g, child in self.universe.rank_children(y):
+            for g, child in self.universe.children(y):
                 counter.tick(budget, shifts + (g,))
                 if self.universe.in_family(child):
                     continue
@@ -445,21 +433,16 @@ class Engine:
                 return node
             if isinstance(self.universe, SymbolicUniverse):
                 spectrum = y.shift_spectrum()
-                branches = [(g, c) for g, c in spectrum.explicit if not c.is_finite()]
-                seen = {g for g, _ in branches}
-                for cls in spectrum.classes:
-                    node.classes.append(
-                        {
-                            "modulus": cls.modulus,
-                            "residue": cls.residue,
-                            "representative": cls.representative,
-                            "uniform": cls.uniform,
-                        }
-                    )
-                    if cls.representative not in seen:
-                        seen.add(cls.representative)
-                        branches.append((cls.representative, cls.child))
-                branches.sort()
+                node.classes = [
+                    {
+                        "modulus": cls.modulus,
+                        "residue": cls.residue,
+                        "representative": cls.representative,
+                        "uniform": cls.uniform,
+                    }
+                    for cls in spectrum.classes
+                ]
+                branches = _branches(spectrum)
             else:
                 branches = self.universe.children(y)
             for g, c in branches:
@@ -573,18 +556,3 @@ class Engine:
                     )
             chain.append(nxt)
         raise AssertionError("period-branch chain failed to stabilize")
-
-    def _at_most(self, x, k: int, path: tuple) -> bool:
-        if self.universe.in_family(x):
-            return True
-        if isinstance(self.universe, SymbolicUniverse) and x.aps:
-            return False
-        for anc in path:
-            if self.universe.match_translate(anc, x) is not None:
-                return False
-        if k == 0:
-            return False
-        return all(
-            self.universe.in_family(c) or self._at_most(c, k - 1, path + (x,))
-            for _, c in self.universe.children(x)
-        )

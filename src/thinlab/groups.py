@@ -1,4 +1,4 @@
-"""Ambient groups: Z, Z/n, and (Z/2)^d, plus scaling endomorphisms on Z.
+"""Ambient groups: Z, Z/n, and (Z/2)^d.
 
 Elements are plain Python ints throughout: arbitrary integers for Z, reduced
 residues 0..n-1 for Z/n, and d-bit masks for (Z/2)^d.
@@ -108,45 +108,6 @@ class GroupDescriptor:
         if self.kind == CYCLIC:
             return f"Z/{self.n}"
         return f"(Z/2)^{self.n}"
-
-
-@dataclass(frozen=True)
-class ScaleBy:
-    """The endomorphism x -> k*x of Z (injective for k != 0).
-
-    For |k| >= 2 the images k^n * Z intersect in 0 alone, so the map is
-    expanding: every nonzero x escapes k^n * Z once n exceeds the k-adic
-    valuation of x.
-    """
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k == 0:
-            raise ValueError("scaling by 0 is not injective")
-
-    def apply(self, a: int) -> int:
-        return self.k * a
-
-    def iterate(self, a: int, times: int) -> int:
-        return a * self.k**times
-
-    @property
-    def expanding(self) -> bool:
-        return abs(self.k) >= 2
-
-    def escape_exponent(self, x: int) -> int:
-        """Least n >= 0 with x not in k^n * Z, for nonzero x and |k| >= 2."""
-        if x == 0:
-            raise ValueError("0 lies in every image")
-        if not self.expanding:
-            raise ValueError(f"scale by {self.k} is not expanding")
-        n = 0
-        k = abs(self.k)
-        while x % k == 0:
-            x //= k
-            n += 1
-        return n + 1
 
 
 def mask_of(group: GroupDescriptor, elements: "Iterator[int] | list[int] | set[int]") -> int:

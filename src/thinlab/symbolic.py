@@ -102,6 +102,15 @@ def _powmod_orbit(b: int, m: int) -> tuple[int, int]:
     return u, e - u
 
 
+def _orbit_split(s: int, j: int, u: int, v: int) -> tuple[range, range, int]:
+    """Split the exponents {s + j*a : a >= 0} at the preperiod u of a power
+    sequence with period v: (exponents below u, first exponent of each
+    periodic class, class step lcm(j, v))."""
+    m = s if s >= u else s + (u - s + j - 1) // j * j
+    step = math.lcm(j, v)
+    return range(s, m, j), range(m, m + step, j), step
+
+
 def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     """Solve x = r1 (m1), x = r2 (m2); returns (residue, lcm) or None."""
     g = math.gcd(m1, m2)
@@ -191,16 +200,9 @@ def _strip_periodic(
     out_singles = {m for m in singles if not in_p(m)}
     out_aps: list[tuple[int, int]] = []
     for s, j in ap_list:
-        m = s
-        while m < u:
-            if not in_p(m):
-                out_singles.add(m)
-            m += j
-        step = math.lcm(j, v)
-        for idx in range(step // j):
-            mm = m + idx * j
-            if not in_p(mm):
-                out_aps.append((mm, step))
+        head, firsts, step = _orbit_split(s, j, u, v)
+        out_singles.update(m for m in head if not in_p(m))
+        out_aps.extend((m, step) for m in firsts if not in_p(m))
     return out_aps, out_singles
 
 
@@ -227,10 +229,7 @@ def _decompose_family(
     present = frozenset(
         r for r in range(big_q) if any((r - s) % j == 0 for s, j in ap_list)
     )
-    q = next(
-        qq for qq in _divisors(big_q)
-        if frozenset((r + qq) % big_q for r in present) == present
-    )
+    q = _minimal_shift_period(big_q, present)
     starts: dict[int, int] = {}
     for r in sorted({r % q for r in present}):
         m0 = t0 + ((r - t0) % q)
@@ -251,31 +250,6 @@ def _decompose_family(
         if r not in starts or m < starts[r]:
             leftovers.add(m)
     return tails, sorted(leftovers)
-
-
-def _cross_exponents(
-    cp: int, d: int, cp2: int, d2: int, s2: int, j2: int, b0: int
-) -> set[int]:
-    """Exponents m >= 0 with cp*b0**m + d == cp2*b0**k + d2 for some k in
-    the progression {s2 + j2*a : a >= 0}.  Requires distinct keys, so the
-    solution set is finite: min(m, k) is bounded by the b0-adic valuation
-    of d2 - d."""
-    diff = d2 - d
-    if diff == 0:
-        return set()
-    out: set[int] = set()
-    vmax = _val(b0, diff)
-    for m in range(vmax + 1):
-        k = _solve_pow(cp * b0**m - diff, cp2, b0)
-        if k is not None and _in_ap(k, s2, j2):
-            out.add(m)
-    for k in range(vmax + 1):
-        if not _in_ap(k, s2, j2):
-            continue
-        m = _solve_pow(cp2 * b0**k + diff, cp, b0)
-        if m is not None:
-            out.add(m)
-    return out
 
 
 def _normalize(
@@ -307,10 +281,7 @@ def _normalize(
                 r for r in range(big)
                 if any((r - t.residue) % t.modulus == 0 for t in aps)
             )
-            p = next(
-                q for q in _divisors(big)
-                if frozenset((r + q) % big for r in present) == present
-            )
+            p = _minimal_shift_period(big, present)
             residues = sorted({r % p for r in present})
         else:
             raise ValueError(
@@ -338,10 +309,11 @@ def _normalize(
     pool: set[int] = set(finite)
     for (cp, d) in sorted(fams):
         ap_list, singles = fams[(cp, d)]
-        for cp2, d2, s2, j2 in parts:
-            if (cp2, d2) != (cp, d):
-                singles |= _cross_exponents(cp, d, cp2, d2, s2, j2, base)
-        for v in finite:
+        values = list(finite)
+        for part in parts:
+            if part[:2] != (cp, d):
+                values += _geo_geo((cp, d, 0, 1), part, base)[1]
+        for v in values:
             m = _solve_pow(v - d, cp, base)
             if m is not None:
                 singles.add(m)
@@ -484,16 +456,21 @@ class SymbolicSet:
                 if sol is not None:
                     ap_out.append(APTerm(sol[1], sol[0]))
 
-        for apt, geot in [(a, g) for a in self.aps for g in other.geos] + [
-            (a, g) for a in other.aps for g in self.geos
-        ]:
-            terms, vals = _geo_in_ap(geot, apt, b0)
-            geo_out.extend(terms)
-            fin.update(vals)
+        parts1 = [_geo_parts(t, b0) for t in self.geos]
+        parts2 = [_geo_parts(t, b0) for t in other.geos]
+        for aps, parts in ((self.aps, parts2), (other.aps, parts1)):
+            if not parts:
+                continue
+            for apt in aps:
+                orbit = _powmod_orbit(b0, apt.modulus)
+                for part in parts:
+                    terms, vals = _geo_in_ap(part, apt, orbit, b0)
+                    geo_out.extend(terms)
+                    fin.update(vals)
 
-        for t1 in self.geos:
-            for t2 in other.geos:
-                terms, vals = _geo_geo(t1, t2, b0)
+        for part1 in parts1:
+            for part2 in parts2:
+                terms, vals = _geo_geo(part1, part2, b0)
                 geo_out.extend(terms)
                 fin.update(vals)
 
@@ -537,11 +514,9 @@ class SymbolicSet:
                 for r2 in rset:
                     deltas.add((r1 - r2) % p)
             for cp, d, s, j in parts:
-                m = s + (0 if s >= u else ((u - s + j - 1) // j) * j)
-                step = math.lcm(j, v)
                 rinf = {
-                    (cp * pow(self.base, m + idx * j, p) + d) % p
-                    for idx in range(step // j)
+                    (cp * pow(self.base, m, p) + d) % p
+                    for m in _orbit_split(s, j, u, v)[1]
                 }
                 for rho in rinf:
                     for r in rset:
@@ -621,36 +596,34 @@ class SymbolicSet:
         return " | ".join(bits) if bits else "{}"
 
 
-def _geo_in_ap(term: GeoTerm, apterm: APTerm, b0: int) -> tuple[list[GeoTerm], list[int]]:
-    """Exact intersection of a geometric tail with a progression."""
-    cp, d, s, j = _geo_parts(term, b0)
+def _geo_in_ap(
+    part: tuple[int, int, int, int], apterm: APTerm, orbit: tuple[int, int], b0: int
+) -> tuple[list[GeoTerm], list[int]]:
+    """Exact intersection of a geometric tail, given by its _geo_parts, with
+    a progression; orbit is _powmod_orbit(b0, modulus)."""
+    cp, d, s, j = part
     p, r = apterm.modulus, apterm.residue
-    u, v = _powmod_orbit(b0, p)
-    vals: list[int] = []
-    out: list[GeoTerm] = []
-    m = s
-    while m < u:
-        if (cp * pow(b0, m, p) + d - r) % p == 0:
-            vals.append(cp * b0**m + d)
-        m += j
-    step = math.lcm(j, v)
-    for idx in range(step // j):
-        mm = m + idx * j
-        if (cp * pow(b0, mm, p) + d - r) % p == 0:
-            out.append(GeoTerm(b0**step, cp * b0**mm, d, 0))
-    return out, vals
+    head, firsts, step = _orbit_split(s, j, *orbit)
+
+    def hits(exponents: range) -> list[int]:
+        return [m for m in exponents if (cp * pow(b0, m, p) + d - r) % p == 0]
+
+    vals = [cp * b0**m + d for m in hits(head)]
+    return [GeoTerm(b0**step, cp * b0**m, d, 0) for m in hits(firsts)], vals
 
 
-def _geo_geo(t1: GeoTerm, t2: GeoTerm, b0: int) -> tuple[list[GeoTerm], list[int]]:
-    """Exact intersection of two geometric tails.
+def _geo_geo(
+    part1: tuple[int, int, int, int], part2: tuple[int, int, int, int], b0: int
+) -> tuple[list[GeoTerm], list[int]]:
+    """Exact intersection of two geometric tails, given by their _geo_parts.
 
     Equal keys reduce to intersecting exponent progressions.  Distinct keys
     meet finitely often: writing the difference of offsets as D, any common
     value has min(m, k) bounded by the b0-adic valuation of D, which makes
     the enumeration below exhaustive.
     """
-    cp1, d1, s1, j1 = _geo_parts(t1, b0)
-    cp2, d2, s2, j2 = _geo_parts(t2, b0)
+    cp1, d1, s1, j1 = part1
+    cp2, d2, s2, j2 = part2
     if (cp1, d1) == (cp2, d2):
         inter = _ap_intersect((s1, j1), (s2, j2))
         if inter is None:
@@ -708,9 +681,6 @@ class ShiftSpectrum:
         if any(g == s for s, _ in self.explicit):
             return True
         return any(c.covers(g) for c in self.classes)
-
-    def explicit_infinite(self) -> list[tuple[int, SymbolicSet]]:
-        return [(g, child) for g, child in self.explicit if not child.is_finite()]
 
 
 def make_set(

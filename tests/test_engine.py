@@ -8,11 +8,12 @@ from thinlab.engine import (
     ExactLevel,
     FiniteGroupUniverse,
     NotInThinCompletion,
+    SymbolicUniverse,
     Unknown,
 )
 from thinlab.groups import GroupDescriptor
 from thinlab.ideals import SizeAtMost
-from thinlab.symbolic import ap, empty_set, finite_set, geo, random_set
+from thinlab.symbolic import APTerm, ap, empty_set, finite_set, geo, make_set, random_set
 
 A = geo(2, 1, 0, 0)  # {2**n}
 TWO_TAILS = geo(2, 3, 0, 0) | geo(2, 3, 1, 0)
@@ -83,19 +84,6 @@ def test_is_thin():
     assert eng.is_thin(empty_set())
     assert not eng.is_thin(TWO_TAILS)
     assert not eng.is_thin(ap(2, 0))
-
-
-def test_level_at_most():
-    eng = Engine()
-    assert eng.level_at_most(A, 1)
-    assert not eng.level_at_most(A, 0)
-    assert eng.level_at_most(finite_set([3]), 0)
-    for k in range(4):
-        assert not eng.level_at_most(ap(2, 0), k)
-    assert eng.level_at_most(TWO_TAILS, 2)
-    assert not eng.level_at_most(TWO_TAILS, 1)
-    with pytest.raises(ValueError):
-        eng.level_at_most(A, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -405,3 +393,32 @@ def test_group_match_translate_agrees_with_search_over_all_shifts(group):
             first.setdefault(translate(x, g), g)
         for y in range(1 << n):
             assert universe.match_translate(x, y) == first.get(y)
+
+
+def test_periodic_anchor_and_match_translate_agree_with_search_over_all_shifts():
+    """Trying only the shifts that move a present residue finds the same
+    anchor and the same first translate as trying every shift mod p.  The
+    search runs on residue sets: for one modulus, ordering the progression
+    tuples is ordering the sorted residues."""
+    universe = SymbolicUniverse()
+
+    def residues(a):
+        return [t.residue for t in a.aps]
+
+    for p in range(1, 11):
+        for mask in range(1, 1 << p):
+            x = make_set(aps=[APTerm(p, r) for r in range(p) if mask >> r & 1])
+            if x.period != p:
+                continue  # the same set as a subset of Z/period, seen before
+            mirror = make_set(aps=[APTerm(p, -r % p) for r in range(p) if mask >> r & 1])
+            for t in range(p):
+                y = x.translate(t)
+                shifted = [sorted((a - r) % p for a in residues(y)) for r in range(p)]
+                assert universe._anchor(y) == shifted.index(min(shifted))
+                for z in (y, mirror.translate(t)):
+                    target = set(residues(z))
+                    first = next(
+                        (r for r in range(p) if {(a + r) % p for a in residues(x)} == target),
+                        None,
+                    )
+                    assert universe.match_translate(x, z) == first

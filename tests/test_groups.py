@@ -2,7 +2,6 @@ import pytest
 
 from thinlab.groups import (
     GroupDescriptor,
-    ScaleBy,
     mask_elements,
     mask_of,
     mask_translate,
@@ -86,62 +85,6 @@ def test_boolean_self_inverse_exhaustive():
         for x in group.elements():
             assert group.op(x, x) == group.identity
             assert group.inverse(x) == x
-
-
-def test_scale_by_basics():
-    h = ScaleBy(3)
-    assert h.apply(4) == 12
-    assert ScaleBy(1).apply(11) == 11
-    assert ScaleBy(2).iterate(1, 10) == 1024
-    with pytest.raises(ValueError):
-        ScaleBy(0)
-
-
-def test_scale_by_additive_and_injective(rng):
-    for k in (-5, -2, -1, 1, 2, 3, 5):
-        h = ScaleBy(k)
-        seen = {}
-        for _ in range(300):
-            a, b = rng.randint(-10**8, 10**8), rng.randint(-10**8, 10**8)
-            assert h.apply(a + b) == h.apply(a) + h.apply(b)
-            image = h.apply(a)
-            assert seen.setdefault(image, a) == a
-        assert h.expanding == (abs(k) >= 2)
-
-
-def test_escape_exponent_definition():
-    # least n with x not divisible by k^n
-    h = ScaleBy(2)
-    assert h.escape_exponent(1) == 1
-    assert h.escape_exponent(8) == 4
-    assert h.escape_exponent(12) == 3
-    assert ScaleBy(3).escape_exponent(-18) == 3
-    with pytest.raises(ValueError):
-        h.escape_exponent(0)
-    with pytest.raises(ValueError):
-        ScaleBy(1).escape_exponent(4)
-    with pytest.raises(ValueError):
-        ScaleBy(-1).escape_exponent(4)
-
-
-def test_expanding_escape_small_exhaustive():
-    for k in (2, 3, 5):
-        h = ScaleBy(k)
-        for x in range(-10**4, 10**4 + 1):
-            if x == 0:
-                continue
-            n = h.escape_exponent(x)
-            assert x % k ** (n - 1) == 0
-            assert x % k**n != 0
-
-
-def test_expanding_escape_large_random(rng):
-    for _ in range(10_000):
-        k = rng.choice((2, 3, 5, -2))
-        x = rng.choice((-1, 1)) * rng.randint(1, 10**6)
-        n = ScaleBy(k).escape_exponent(x)
-        assert x % abs(k) ** (n - 1) == 0
-        assert x % abs(k) ** n != 0
 
 
 def test_mask_round_trip():

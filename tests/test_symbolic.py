@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from thinlab.symbolic import (
     make_set,
     random_set,
 )
+from thinlab.symbolic import _minimal_shift_period, _orbit_split
 
 # ---------------------------------------------------------------------------
 # Independent brute-force evaluation of raw term lists.  All derived
@@ -369,6 +371,20 @@ def test_intersect_windows(rng):
         assert set((a | b).window(lo, hi)) == set(a.window(lo, hi)) | set(
             b.window(lo, hi)
         )
+    # tails of distinct keys whose offsets differ by a multiple of 8: the
+    # cross-key enumeration runs over every exponent up to the 2-adic
+    # valuation of the difference, and each coincidence lies in the window
+    lo, hi = -(2**14), 2**14
+    coeffs = [1, -1, 3, 5, -3, 6, 12]
+    for diff in (8, -8, 16, -24, 40, 48, -64, 128, 192, -256):
+        for _ in range(12):
+            d = rng.randint(-24, 24)
+            a = geo(2 ** rng.choice([1, 1, 2, 3]), rng.choice(coeffs), d, rng.randrange(3))
+            b = geo(2 ** rng.choice([1, 1, 2, 3]), rng.choice(coeffs), d + diff,
+                    rng.randrange(3))
+            wa, wb = brute_of(a, lo, hi), brute_of(b, lo, hi)
+            assert set((a & b).window(lo, hi)) == wa & wb
+            assert set((a | b).window(lo, hi)) == wa | wb
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +406,7 @@ def test_spectrum_thin_geo():
 def test_spectrum_two_tails():
     a = geo(2, 3, 0, 0) | geo(2, 3, 1, 0)
     spec = a.shift_spectrum()
-    explicit = dict(spec.explicit_infinite())
+    explicit = {g: child for g, child in spec.explicit if not child.is_finite()}
     assert set(explicit) == {1, -1}
     assert explicit[1] == geo(2, 3, 1, 0)
     assert explicit[-1] == geo(2, 3, 0, 0)
@@ -462,6 +478,39 @@ def test_spectrum_class_children_exact_even_when_not_uniform(rng):
             g = cls.representative
             child = a & a.translate(g)
             assert child == cls.child
+
+
+# ---------------------------------------------------------------------------
+# Helpers against their slow definitions
+# ---------------------------------------------------------------------------
+
+
+def test_minimal_shift_period_exhaustive():
+    for m in range(1, 13):
+        for mask in range(1 << m):
+            residues = frozenset(r for r in range(m) if mask >> r & 1)
+            slow = next(
+                q for q in range(1, m + 1)
+                if {(r + q) % m for r in residues} == residues
+            )
+            assert _minimal_shift_period(m, residues) == slow
+
+
+def test_orbit_split_matches_stepping_loop():
+    for s in range(0, 9):
+        for j in range(1, 7):
+            for u in range(0, 12):
+                for v in range(1, 9):
+                    m, head = s, []
+                    while m < u:
+                        head.append(m)
+                        m += j
+                    step = math.lcm(j, v)
+                    firsts = [m + idx * j for idx in range(step // j)]
+                    got_head, got_firsts, got_step = _orbit_split(s, j, u, v)
+                    assert (list(got_head), list(got_firsts), got_step) == (
+                        head, firsts, step
+                    )
 
 
 # ---------------------------------------------------------------------------
