@@ -152,7 +152,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             text = line.strip()
             if not text:
                 continue
-            report, code = _classify_one(engine, text, args)
+            try:
+                report, code = _classify_one(engine, text, args)
+            except ValueError as exc:  # e.g. a set too large to print
+                report, code = {"error": str(exc), "input": text}, EXIT_CONFIG
             print(json.dumps(report, sort_keys=True))
             if worst == EXIT_OK and code != EXIT_OK:
                 worst = code

@@ -20,6 +20,12 @@ Two universes are supported: symbolic subsets of Z over the family of
 finite sets, and bitmask subsets of a small finite group over a size-bound
 family.  Levels, witnesses and ranks are invariant under translating the
 root, so classification results are memoized per translation orbit.
+
+Derived sets only shrink along a path, and a set that contains a translate
+of itself equals it (in a finite group both have the same size; on Z the
+shift must fix the periodic part, the tail offsets and the finite part).
+So a child that is a translate of an ancestor equals its parent: classify
+finds a cycle as a fixed point, without comparing a node with ancestors.
 """
 
 from __future__ import annotations
@@ -104,16 +110,6 @@ class _NotWellFoundedType:
 NOT_WELL_FOUNDED = _NotWellFoundedType()
 
 
-@dataclass(frozen=True)
-class _Marker:
-    """Internal: a cycle found against an ancestor above the current frame."""
-
-    ancestor_depth: int
-    shifts_to_frame: tuple[int, ...]
-    repeat_shift: int
-    translation: int
-
-
 class _BudgetStop(Exception):
     def __init__(self, depth: int, nodes: int, path: tuple[int, ...]):
         self.depth = depth
@@ -178,19 +174,13 @@ class SymbolicUniverse:
         return x.period
 
     def norm_key(self, x: SymbolicSet) -> SymbolicSet:
-        mu = self._anchor(x)
-        return x.translate(-mu) if mu is not None else x
-
-    def _anchor(self, x: SymbolicSet) -> int | None:
+        """x moved to put its least geometric offset, else its least
+        element, at 0; classify calls it only on sets with no periodic part."""
         if x.geos:
-            return min(t.offset for t in x.geos)
+            return x.translate(-min(t.offset for t in x.geos))
         if x.finite:
-            return min(x.finite)
-        if x.aps:
-            # the least residue tuple starts with 0, so only a shift taking
-            # a present residue to 0 can give it
-            return min((t.residue for t in x.aps), key=lambda r: x.translate(-r).aps)
-        return None
+            return x.translate(-x.finite[0])
+        return x
 
     def match_translate(self, x: SymbolicSet, y: SymbolicSet) -> int | None:
         """t with y == x.translate(t), if one exists."""
@@ -353,12 +343,9 @@ class Engine:
         self.universe.validate(x)
         counter = _Counter()
         try:
-            verdict = self._rec(x, (), (), budget, counter)
+            return self._rec(x, (), budget, counter)
         except _BudgetStop as stop:
             return Unknown(stop.depth, stop.nodes, stop.path)
-        if isinstance(verdict, _Marker):
-            raise AssertionError("cycle marker escaped to the root")
-        return verdict
 
     def derived_set(self, x, path: Iterable[int]):
         self.universe.validate(x)
@@ -474,85 +461,47 @@ class Engine:
 
     # -- internals --------------------------------------------------------
 
-    def _rec(self, x, shifts: tuple[int, ...], sets: tuple, budget: Budget, counter: _Counter):
+    def _rec(self, x, shifts: tuple[int, ...], budget: Budget, counter: _Counter):
         if self.universe.in_family(x):
             return ExactLevel(0)
-        period = self.universe.periodic(x)
-        if period is not None:
+        if self.universe.periodic(x) is not None:
             return self._hunt_cycle(x)
         key = self.universe.norm_key(x)
         if key in self._memo:
             return self._memo[key]
-        depth = len(shifts)
-        if depth >= budget.max_depth:
-            raise _BudgetStop(depth, counter.nodes, shifts)
+        if len(shifts) >= budget.max_depth:
+            raise _BudgetStop(len(shifts), counter.nodes, shifts)
 
-        here = sets + (x,)
         child_levels: list[int] = []
         for g, child in self.universe.children(x):
             counter.tick(budget, shifts + (g,))
             if self.universe.in_family(child):
                 continue
-            hit = None
-            for k, anc in enumerate(here):
-                t = self.universe.match_translate(anc, child)
-                if t is not None:
-                    hit = (k, t)
-                    break
-            if hit is not None:
-                k, t = hit
-                if k == depth:
-                    witness = CycleWitness((), 0, g, t)
-                    verdict = NotInThinCompletion(witness)
-                    self._memo[key] = verdict
-                    return verdict
-                return _Marker(k, shifts, g, t)
-            sub = self._rec(child, shifts + (g,), here, budget, counter)
-            if isinstance(sub, _Marker):
-                if sub.ancestor_depth == depth:
-                    witness = CycleWitness(
-                        sub.shifts_to_frame[depth:], 0, sub.repeat_shift, sub.translation
-                    )
-                    verdict = NotInThinCompletion(witness)
-                    self._memo[key] = verdict
-                    return verdict
-                return sub
+            if child == x:
+                verdict = NotInThinCompletion(CycleWitness((), 0, g, 0))
+                break
+            sub = self._rec(child, shifts + (g,), budget, counter)
             if isinstance(sub, NotInThinCompletion):
                 w = sub.witness
-                lifted = CycleWitness(
+                verdict = NotInThinCompletion(CycleWitness(
                     (g,) + w.path, w.ancestor_index + 1, w.repeat_shift, w.translation
-                )
-                verdict = NotInThinCompletion(lifted)
-                self._memo[key] = verdict
-                return verdict
+                ))
+                break
             child_levels.append(sub.level)
-        verdict = ExactLevel(1 + max(child_levels, default=0))
+        else:
+            verdict = ExactLevel(1 + max(child_levels, default=0))
         self._memo[key] = verdict
         return verdict
 
     def _hunt_cycle(self, x) -> NotInThinCompletion:
-        """Exact cycle search along the period branch of a set with a
-        periodic part.  The derived chain under the period shift is
-        set-decreasing and structurally stabilizing, so a translate-match
-        against an earlier link always appears."""
+        """Follow the period branch of a set with a periodic part to its
+        fixed point: deriving by the period p keeps the periodic part, so
+        the shrinking chain x, x & (p + x), ... stops at an infinite set
+        equal to its own child."""
         p = self.universe.periodic(x)
-        chain = [x]
-        for _ in range(100_000):
-            nxt = self.universe.derive(chain[-1], p)
-            for i, anc in enumerate(chain):
-                t = self.universe.match_translate(anc, nxt)
-                if t is not None:
-                    last = len(chain)
-                    for j in range(last):
-                        if j <= i:
-                            w = CycleWitness((p,) * (last - 1 - j), i - j, p, t)
-                        else:
-                            w = CycleWitness((p,) * (last - i - 1), 0, p, t)
-                        self._memo[self.universe.norm_key(chain[j])] = (
-                            NotInThinCompletion(w)
-                        )
-                    return NotInThinCompletion(
-                        CycleWitness((p,) * (last - 1), i, p, t)
-                    )
-            chain.append(nxt)
+        for k in range(100_000):
+            nxt = self.universe.derive(x, p)
+            if nxt == x:
+                return NotInThinCompletion(CycleWitness((p,) * k, k, p, 0))
+            x = nxt
         raise AssertionError("period-branch chain failed to stabilize")

@@ -399,15 +399,13 @@ class SymbolicSet:
     # -- constructions ---------------------------------------------------
 
     def translate(self, g: int) -> "SymbolicSet":
-        """g + A.  Every canonicality rule is translation-equivariant, so
-        the terms are mapped directly without renormalizing."""
+        """g + A, term by term: a shift keeps the canonical form, and its
+        order except among progressions.  Lists, not generators, keep peak RSS down."""
         if g == 0:
             return self
         return SymbolicSet(
-            tuple(sorted(x + g for x in self.finite)),
-            tuple(sorted(
-                GeoTerm(t.base, t.coeff, t.offset + g, t.n0) for t in self.geos
-            )),
+            tuple([x + g for x in self.finite]),
+            tuple([GeoTerm(t.base, t.coeff, t.offset + g, t.n0) for t in self.geos]),
             tuple(sorted(
                 APTerm(t.modulus, (t.residue + g) % t.modulus) for t in self.aps
             )),

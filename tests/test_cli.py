@@ -163,6 +163,18 @@ def test_batch_inline_errors_keep_going(capsys, monkeypatch):
     assert second["level"] == 0
 
 
+def test_batch_unprintable_line_keeps_going(capsys, monkeypatch):
+    """A set whose integers exceed the str-digit limit fails its own line,
+    not the stream."""
+    feed(monkeypatch, "geo(2,1,0,15000)\n{1}\n")
+    code, out, _ = run(capsys, "classify", "--batch", "--no-timing")
+    assert code == 2
+    first, second = (json.loads(s) for s in out.splitlines())
+    assert first["input"] == "geo(2,1,0,15000)"
+    assert "digits" in first["error"] and set(first) == {"error", "input"}
+    assert second["input"] == "{1}" and second["level"] == 0
+
+
 def test_batch_all_ok_exit_zero(capsys, monkeypatch):
     feed(monkeypatch, "{1}\ngeo(2,1,0,0)\n")
     code, out, _ = run(capsys, "classify", "--batch", "--no-timing")

@@ -11,9 +11,19 @@ from thinlab.engine import (
     SymbolicUniverse,
     Unknown,
 )
-from thinlab.groups import GroupDescriptor
+from thinlab.groups import GroupDescriptor, mask_translate
 from thinlab.ideals import SizeAtMost
-from thinlab.symbolic import APTerm, ap, empty_set, finite_set, geo, make_set, random_set
+from thinlab.symbolic import (
+    APTerm,
+    GeoTerm,
+    _geo_parts,
+    ap,
+    empty_set,
+    finite_set,
+    geo,
+    make_set,
+    random_set,
+)
 
 A = geo(2, 1, 0, 0)  # {2**n}
 TWO_TAILS = geo(2, 3, 0, 0) | geo(2, 3, 1, 0)
@@ -397,9 +407,9 @@ def test_group_match_translate_agrees_with_search_over_all_shifts(group):
 
 def test_periodic_anchor_and_match_translate_agree_with_search_over_all_shifts():
     """Trying only the shifts that move a present residue finds the same
-    anchor and the same first translate as trying every shift mod p.  The
-    search runs on residue sets: for one modulus, ordering the progression
-    tuples is ordering the sorted residues."""
+    first translate as trying every shift mod p.  The search runs on
+    residue sets: for one modulus, ordering the progression tuples is
+    ordering the sorted residues."""
     universe = SymbolicUniverse()
 
     def residues(a):
@@ -413,8 +423,6 @@ def test_periodic_anchor_and_match_translate_agree_with_search_over_all_shifts()
             mirror = make_set(aps=[APTerm(p, -r % p) for r in range(p) if mask >> r & 1])
             for t in range(p):
                 y = x.translate(t)
-                shifted = [sorted((a - r) % p for a in residues(y)) for r in range(p)]
-                assert universe._anchor(y) == shifted.index(min(shifted))
                 for z in (y, mirror.translate(t)):
                     target = set(residues(z))
                     first = next(
@@ -422,3 +430,78 @@ def test_periodic_anchor_and_match_translate_agree_with_search_over_all_shifts()
                         None,
                     )
                     assert universe.match_translate(x, z) == first
+
+
+# ---------------------------------------------------------------------------
+# Cycles are fixed points
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "group",
+    [GroupDescriptor.cyclic(n) for n in range(2, 11)]
+    + [GroupDescriptor.boolean_power(d) for d in range(1, 4)],
+    ids=lambda g: g.describe(),
+)
+def test_mask_containing_a_translate_of_itself_equals_it(group):
+    """g + A inside A forces g + A == A, so a derived set matches an
+    ancestor by translation only when it equals its parent."""
+    for x in range(1 << group.order):
+        for g in group.elements():
+            y = mask_translate(group, x, g)
+            if y & ~x == 0:
+                assert y == x
+
+
+@pytest.mark.parametrize("max_ap", [0, 2], ids=["no_periodic_part", "periodic_part"])
+def test_symbolic_set_containing_a_translate_of_itself_equals_it(rng, max_ap):
+    moved_onto_itself = 0
+    for _ in range(150):
+        a = random_set(rng, max_geo=3, max_ap=max_ap)
+        for t in range(-40, 41):
+            b = a.translate(t)
+            if b.intersect(a) == b:
+                assert b == a
+                moved_onto_itself += t != 0 and not a.is_empty()
+    # a nonempty set equals a nonzero translate of itself only when it is
+    # periodic, so with a periodic part the implication is exercised at
+    # nonzero shifts too
+    assert (moved_onto_itself > 0) == (max_ap > 0)
+
+
+def test_norm_key_is_a_translate_constant_on_translation_orbits(rng):
+    """Sets without a periodic part, the only ones classify memoizes."""
+    universe = SymbolicUniverse()
+    for _ in range(300):
+        a = random_set(rng, max_ap=0)
+        key = universe.norm_key(a)
+        assert universe.match_translate(a, key) is not None
+        assert universe.norm_key(a.translate(rng.randint(-50, 50))) == key
+    eng = Engine()
+    assert eng.classify(TWO_TAILS.translate(41)) is eng.classify(TWO_TAILS)
+
+
+def test_level_at_most_number_of_keys(rng):
+    """Without a periodic part, a child keeps key (cp, d) (reduced
+    coefficient, offset) only if (cp, d - g) is a key too, and D & (D + g)
+    is smaller than any finite nonempty D, so every step loses a key and the
+    level is at most the number of keys (and no cycle is found).  Tails
+    with nearby offsets and shared coefficients give the deeper levels."""
+
+    def clustered(base):
+        return make_set([], [
+            GeoTerm(base, rng.choice([1, 3]), rng.randrange(6), rng.randrange(2))
+            for _ in range(rng.randrange(1, 6))
+        ], base=base)
+
+    levels = set()
+    for base in (2, 3):
+        eng = Engine()
+        for _ in range(500):
+            for a in (random_set(rng, base=base, max_geo=4, max_ap=0), clustered(base)):
+                keys = {_geo_parts(t, base)[:2] for t in a.geos}
+                verdict = eng.classify(a)
+                assert isinstance(verdict, ExactLevel)
+                assert verdict.level <= len(keys)
+                levels.add(verdict.level)
+    assert levels >= {0, 1, 2, 3}
