@@ -91,7 +91,9 @@ def _verdict_fields(engine: Engine, a, verdict) -> tuple[dict, int]:
     }, EXIT_UNKNOWN
 
 
-def _classify_one(engine: Engine, text: str, args: argparse.Namespace) -> tuple[dict, int]:
+def _classify_one(
+    engine: Engine, text: str, args: argparse.Namespace, budget: Budget
+) -> tuple[dict, int]:
     try:
         a = parse_set(text, base=args.base)
     except ParseError as exc:
@@ -101,7 +103,7 @@ def _classify_one(engine: Engine, text: str, args: argparse.Namespace) -> tuple[
             "position": exc.position,
         }, EXIT_CONFIG
     t0 = time.perf_counter()
-    verdict = engine.classify(a, _budget(args))
+    verdict = engine.classify(a, budget)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     report = {"input": text, "set": format_set(a)}
     fields, code = _verdict_fields(engine, a, verdict)
@@ -143,7 +145,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         budget = _budget(args)
     except ValueError as exc:
         return _config_error(str(exc))
-    del budget  # validated; rebuilt per call
 
     engine = Engine(SymbolicUniverse())
     if args.batch:
@@ -153,7 +154,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             if not text:
                 continue
             try:
-                report, code = _classify_one(engine, text, args)
+                report, code = _classify_one(engine, text, args, budget)
             except ValueError as exc:  # e.g. a set too large to print
                 report, code = {"error": str(exc), "input": text}, EXIT_CONFIG
             print(json.dumps(report, sort_keys=True))
@@ -161,7 +162,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 worst = code
         return worst
 
-    report, code = _classify_one(engine, args.expr, args)
+    report, code = _classify_one(engine, args.expr, args, budget)
     if code == EXIT_CONFIG:
         exc = ParseError(report["error"], report["position"])
         return _parse_error(args.expr, exc)

@@ -176,20 +176,20 @@ class SymbolicUniverse:
     def norm_key(self, x: SymbolicSet) -> SymbolicSet:
         """x moved to put its least geometric offset, else its least
         element, at 0; classify calls it only on sets with no periodic part."""
-        if x.geos:
-            return x.translate(-min(t.offset for t in x.geos))
+        if x.tails:
+            return x.translate(-min(t[1] for t in x.tails))
         if x.finite:
             return x.translate(-x.finite[0])
         return x
 
     def match_translate(self, x: SymbolicSet, y: SymbolicSet) -> int | None:
         """t with y == x.translate(t), if one exists."""
-        if (len(x.finite), len(x.geos), len(x.aps)) != (
-            len(y.finite), len(y.geos), len(y.aps)
+        if (len(x.finite), len(x.tails), len(x.aps)) != (
+            len(y.finite), len(y.tails), len(y.aps)
         ):
             return None
-        if x.geos:
-            t = min(s.offset for s in y.geos) - min(s.offset for s in x.geos)
+        if x.tails:
+            t = min(s[1] for s in y.tails) - min(s[1] for s in x.tails)
         elif x.finite:
             t = y.finite[0] - x.finite[0]
         elif x.aps:

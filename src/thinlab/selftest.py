@@ -30,6 +30,7 @@ from .engine import (
     Budget,
     Engine,
     ExactLevel,
+    FiniteGroupUniverse,
     NotInThinCompletion,
     SymbolicUniverse,
     Unknown,
@@ -245,19 +246,12 @@ def _suite_boolean(ctx: _Ctx) -> SuiteResult:
     else:
         mask, x = witness
         group = GroupDescriptor.boolean_power(3)
-        family = SizeAtMost(group, 1)
+        engine = Engine(FiniteGroupUniverse(group, SizeAtMost(group, 1)))
         union = mask | mask_translate(group, mask, x)
-
-        def thin(m: int) -> bool:
-            return all(
-                family.contains(m & mask_translate(group, m, g))
-                for g in group.nonidentity()
-            )
-
         res.checks += 2
-        if not thin(mask):
+        if not engine.is_thin(mask):
             res.failures.append(f"witness mask {mask} is not thin")
-        if thin(union):
+        if engine.is_thin(union):
             res.failures.append(f"witness union {union} is thin")
     # x-invariance of A | (x + A), exhaustive for small Boolean powers.
     for d in range(1, 5):

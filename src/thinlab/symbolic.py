@@ -12,12 +12,18 @@ Canonical form
 --------------
 * progressions are stored with their minimal common period p: one APTerm
   per residue class of the (unique) maximal periodic subset;
-* each geometric tail is keyed by (reduced coefficient, offset), where the
-  reduced coefficient carries no factor of b0; per key the exponent set is
-  decomposed with its minimal eventual period and maximal downward
+* each geometric tail is stored as a tuple (cp, d, m0, q), the set
+  {cp * b0**m + d : m >= m0, m = m0 mod q}, keyed by (reduced coefficient
+  cp, offset d), where cp carries no factor of b0; per key the exponent
+  set is decomposed with its minimal eventual period and maximal downward
   extension; boundary elements representable under several keys are
   redistributed deterministically;
 * the finite part is disjoint from every term.
+
+Exponents stay symbolic: no operation builds b0**m0, so a tail with a huge
+start exponent costs what a small one does.  Literal GeoTerms exist only
+where terms enter (make_set) or leave (the `geos` view, which repr and JSON
+print as geo(b0**q, cp * b0**m0, d, 0)).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 DEFAULT_BASE = 2
 
@@ -121,21 +127,14 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     return ((r1 + m1 * t) % lcm, lcm)
 
 
-def _ap_intersect(a1: tuple[int, int], a2: tuple[int, int]) -> tuple[int, int] | None:
-    """Intersect one-sided exponent progressions {s + j*a : a >= 0}."""
-    s1, j1 = a1
-    s2, j2 = a2
-    sol = _crt(s1 % j1, j1, s2 % j2, j2)
-    if sol is None:
-        return None
-    r, lcm = sol
-    lo = max(s1, s2)
-    m0 = lo + ((r - lo) % lcm)
-    return (m0, lcm)
+# (cp, d, m0, q): the tail {cp * b0**m + d : m >= m0, m = m0 mod q}
+Tail = tuple[int, int, int, int]
 
 
-def _in_ap(m: int, s: int, j: int) -> bool:
-    return m >= s and (m - s) % j == 0
+def _in_tail(x: int, tail: Tail, b0: int) -> bool:
+    cp, d, m0, q = tail
+    e = _solve_pow(x - d, cp, b0)
+    return e is not None and e >= m0 and (e - m0) % q == 0
 
 
 @dataclass(frozen=True, order=True)
@@ -177,8 +176,9 @@ class APTerm:
         return (x - self.residue) % self.modulus == 0
 
 
-def _geo_parts(term: GeoTerm, b0: int) -> tuple[int, int, int, int]:
-    """(reduced coeff, offset, start exponent, exponent step) over base b0."""
+def _geo_parts(term: GeoTerm, b0: int) -> Tail:
+    """The tail (reduced coeff, offset, start exponent, exponent step) of a
+    literal term over base b0."""
     j = _pow_exponent(term.base, b0)
     if j is None or j == 0:
         raise ValueError(f"base {term.base} is not a positive power of session base {b0}")
@@ -220,11 +220,7 @@ def _decompose_family(
     t0 = max(max(s for s, _ in ap_list), (max(singles) + 1) if singles else 0)
 
     def member(m: int) -> bool:
-        if m < 0:
-            return False
-        if m in singles:
-            return True
-        return any(m >= s and (m - s) % j == 0 for s, j in ap_list)
+        return m in singles or any(m >= s and (m - s) % j == 0 for s, j in ap_list)
 
     present = frozenset(
         r for r in range(big_q) if any((r - s) % j == 0 for s, j in ap_list)
@@ -255,40 +251,35 @@ def _decompose_family(
 def _normalize(
     base: int,
     finite: Iterable[int],
-    geos: Iterable[GeoTerm],
+    parts: Sequence[Tail],
     aps: Iterable[APTerm],
-) -> tuple[tuple[int, ...], tuple[GeoTerm, ...], tuple[APTerm, ...]]:
-    geos = list(geos)
+) -> SymbolicSet:
+    """The canonical set of raw parts: tails need not be canonical, and
+    progressions may mix moduli."""
     aps = list(aps)
     finite = set(finite)
 
     # Periodic part: the union of the input progressions is itself the
     # maximal periodic subset (geometric tails are too sparse to complete
-    # a residue class), stored as minimal period plus residues.  Mixed
-    # moduli are reduced by enumerating residues mod their lcm, so that
-    # path is capped; a family sharing one modulus needs no enumeration.
+    # a residue class), stored as minimal period plus residues.  Each
+    # residue is lifted to the lcm of the moduli; mixed moduli can make
+    # that wide, so they are capped, while one shared modulus lifts nothing.
     p = None
     residues: list[int] = []
     if aps:
         mods = {t.modulus for t in aps}
         big = math.lcm(*mods)
-        if len(mods) == 1:
-            native = frozenset(t.residue for t in aps)
-            p = _minimal_shift_period(big, native)
-            residues = sorted({r % p for r in native})
-        elif big <= PERIOD_ENUM_LIMIT:
-            present = frozenset(
-                r for r in range(big)
-                if any((r - t.residue) % t.modulus == 0 for t in aps)
-            )
-            p = _minimal_shift_period(big, present)
-            residues = sorted({r % p for r in present})
-        else:
+        if len(mods) > 1 and big > PERIOD_ENUM_LIMIT:
             raise ValueError(
                 "progression moduli with lcm %d exceed the "
                 "canonicalization limit %d" % (big, PERIOD_ENUM_LIMIT)
             )
-        if geos and p > PERIOD_ENUM_LIMIT:
+        present = frozenset(
+            x for t in aps for x in range(t.residue, big, t.modulus)
+        )
+        p = _minimal_shift_period(big, present)
+        residues = sorted({r % p for r in present})
+        if parts and p > PERIOD_ENUM_LIMIT:
             raise ValueError(
                 "geometric terms cannot be reduced against a periodic "
                 "part with period %d (limit %d)" % (p, PERIOD_ENUM_LIMIT)
@@ -300,12 +291,11 @@ def _normalize(
     # with other keys' terms, plus representable finite inputs.  The result
     # depends only on the denoted set, not on how it was presented, at the
     # cost of letting two tails share finitely many values.
-    parts = [_geo_parts(term, base) for term in geos]
     fams: dict[tuple[int, int], tuple[list[tuple[int, int]], set[int]]] = {}
     for cp, d, s, j in parts:
         fams.setdefault((cp, d), ([], set()))[0].append((s, j))
 
-    tails: list[tuple[int, int, int, int]] = []  # (cp, d, m0, q)
+    tails: list[Tail] = []
     pool: set[int] = set(finite)
     for (cp, d) in sorted(fams):
         ap_list, singles = fams[(cp, d)]
@@ -323,22 +313,13 @@ def _normalize(
         tails.extend((cp, d, m0, q) for m0, q in fam_tails)
         pool.update(cp * base**m + d for m in leftovers)
 
-    def in_tails(x: int) -> bool:
-        for cp, d, m0, q in tails:
-            e = _solve_pow(x - d, cp, base)
-            if e is not None and e >= m0 and (e - m0) % q == 0:
-                return True
-        return False
-
     kept = [
         x for x in pool
-        if not (p is not None and x % p in resset) and not in_tails(x)
+        if not (p is not None and x % p in resset)
+        and not any(_in_tail(x, t, base) for t in tails)
     ]
-    geo_terms = tuple(sorted(
-        GeoTerm(base**q, cp * base**m0, d, 0) for cp, d, m0, q in tails
-    ))
     ap_terms = tuple(APTerm(p, r) for r in residues) if p is not None else ()
-    return tuple(sorted(kept)), geo_terms, ap_terms
+    return SymbolicSet(tuple(sorted(kept)), tuple(sorted(tails)), ap_terms, base)
 
 
 @dataclass(frozen=True)
@@ -348,7 +329,7 @@ class SymbolicSet:
     constructor trusts its arguments to be canonical already."""
 
     finite: tuple[int, ...] = ()
-    geos: tuple[GeoTerm, ...] = ()
+    tails: tuple[Tail, ...] = ()
     aps: tuple[APTerm, ...] = ()
     base: int = DEFAULT_BASE
 
@@ -359,13 +340,13 @@ class SymbolicSet:
             return True
         if any(t.member(x) for t in self.aps):
             return True
-        return any(t.member(x) for t in self.geos)
+        return any(_in_tail(x, t, self.base) for t in self.tails)
 
     def __contains__(self, x: int) -> bool:
         return self.member(x)
 
     def is_finite(self) -> bool:
-        return not self.geos and not self.aps
+        return not self.tails and not self.aps
 
     def is_empty(self) -> bool:
         return not self.finite and self.is_finite()
@@ -375,6 +356,15 @@ class SymbolicSet:
         """Minimal period of the periodic part, if any."""
         return self.aps[0].modulus if self.aps else None
 
+    @property
+    def geos(self) -> tuple[GeoTerm, ...]:
+        """The tails as sorted literal terms geo(b0**q, cp * b0**m0, d, 0):
+        the printed view, for repr, JSON and readers of terms."""
+        b0 = self.base
+        return tuple(sorted(
+            GeoTerm(b0**q, cp * b0**m0, d) for cp, d, m0, q in self.tails
+        ))
+
     def window(self, lo: int, hi: int) -> list[int]:
         """Sorted elements in [lo, hi]."""
         if lo > hi:
@@ -383,17 +373,13 @@ class SymbolicSet:
         for t in self.aps:
             first = lo + ((t.residue - lo) % t.modulus)
             out.update(range(first, hi + 1, t.modulus))
-        for t in self.geos:
-            n = t.n0
-            while True:
-                v = t.coeff * t.base**n + t.offset
-                if t.coeff > 0 and v > hi:
-                    break
-                if t.coeff < 0 and v < lo:
-                    break
-                if lo <= v <= hi:
-                    out.add(v)
-                n += 1
+        for tail in self.tails:
+            c, d = tail[0], tail[1]
+            reach = max(abs(lo - d), abs(hi - d))
+            while abs(c) <= reach:
+                if lo <= c + d <= hi and _in_tail(c + d, tail, self.base):
+                    out.add(c + d)
+                c *= self.base
         return sorted(out)
 
     # -- constructions ---------------------------------------------------
@@ -405,7 +391,7 @@ class SymbolicSet:
             return self
         return SymbolicSet(
             tuple([x + g for x in self.finite]),
-            tuple([GeoTerm(t.base, t.coeff, t.offset + g, t.n0) for t in self.geos]),
+            tuple([(cp, d + g, m0, q) for cp, d, m0, q in self.tails]),
             tuple(sorted(
                 APTerm(t.modulus, (t.residue + g) % t.modulus) for t in self.aps
             )),
@@ -414,26 +400,30 @@ class SymbolicSet:
 
     def scale(self, k: int) -> "SymbolicSet":
         """k * A for k != 0.  Renormalizes: scaling can move cross-key
-        coincidences across the exponent-zero boundary."""
+        coincidences across the exponent-zero boundary, and cp * k can
+        gain factors of b0.  Each tail re-enters make_set as the term
+        geo(b0**q, cp*k * b0**(m0 mod q), d*k, m0 div q), whose literal
+        stays small however large m0 is."""
         if k == 0:
             raise ValueError("cannot scale a set by 0")
         if k == 1:
             return self
+        b0 = self.base
         return make_set(
             (x * k for x in self.finite),
-            (GeoTerm(t.base, t.coeff * k, t.offset * k, t.n0) for t in self.geos),
+            (GeoTerm(b0**q, cp * k * b0 ** (m0 % q), d * k, m0 // q)
+             for cp, d, m0, q in self.tails),
             (APTerm(t.modulus * abs(k), (t.residue * k) % (t.modulus * abs(k)))
              for t in self.aps),
-            base=self.base,
+            base=b0,
         )
 
     def union(self, other: "SymbolicSet") -> "SymbolicSet":
-        b = self._common_base(other)
-        return make_set(
+        return _normalize(
+            self._common_base(other),
             self.finite + other.finite,
-            self.geos + other.geos,
+            self.tails + other.tails,
             self.aps + other.aps,
-            base=b,
         )
 
     def __or__(self, other: "SymbolicSet") -> "SymbolicSet":
@@ -441,38 +431,28 @@ class SymbolicSet:
 
     def intersect(self, other: "SymbolicSet") -> "SymbolicSet":
         b0 = self._common_base(other)
-        fin: set[int] = set()
-        geo_out: list[GeoTerm] = []
-        ap_out: list[APTerm] = []
-
-        fin.update(x for x in self.finite if other.member(x))
+        fin = {x for x in self.finite if other.member(x)}
         fin.update(x for x in other.finite if self.member(x))
+        tails: list[Tail] = []
 
-        for t1 in self.aps:
-            for t2 in other.aps:
-                sol = _crt(t1.residue, t1.modulus, t2.residue, t2.modulus)
-                if sol is not None:
-                    ap_out.append(APTerm(sol[1], sol[0]))
-
-        parts1 = [_geo_parts(t, b0) for t in self.geos]
-        parts2 = [_geo_parts(t, b0) for t in other.geos]
-        for aps, parts in ((self.aps, parts2), (other.aps, parts1)):
-            if not parts:
+        for periodic, parts in ((self, other.tails), (other, self.tails)):
+            if not periodic.aps or not parts:
                 continue
-            for apt in aps:
-                orbit = _powmod_orbit(b0, apt.modulus)
-                for part in parts:
-                    terms, vals = _geo_in_ap(part, apt, orbit, b0)
-                    geo_out.extend(terms)
-                    fin.update(vals)
-
-        for part1 in parts1:
-            for part2 in parts2:
-                terms, vals = _geo_geo(part1, part2, b0)
-                geo_out.extend(terms)
+            p = periodic.aps[0].modulus
+            rset = frozenset(t.residue for t in periodic.aps)
+            orbit = _powmod_orbit(b0, p)
+            for part in parts:
+                found, vals = _geo_in_ap(part, p, rset, orbit, b0)
+                tails.extend(found)
                 fin.update(vals)
 
-        return make_set(fin, geo_out, ap_out, base=b0)
+        for part1 in self.tails:
+            for part2 in other.tails:
+                found, vals = _geo_geo(part1, part2, b0)
+                tails.extend(found)
+                fin.update(vals)
+
+        return _normalize(b0, fin, tails, _residue_meet(self.aps, other.aps))
 
     def __and__(self, other: "SymbolicSet") -> "SymbolicSet":
         return self.intersect(other)
@@ -480,9 +460,9 @@ class SymbolicSet:
     def _common_base(self, other: "SymbolicSet") -> int:
         if self.base == other.base:
             return self.base
-        if not self.geos:
+        if not self.tails:
             return other.base
-        if not other.geos:
+        if not other.tails:
             return self.base
         raise ValueError(f"session base mismatch: {self.base} vs {other.base}")
 
@@ -492,10 +472,9 @@ class SymbolicSet:
         """All shifts g != 0 whose self-intersection A & (g + A) is infinite,
         as finitely many explicit shifts plus residue classes; every shift
         outside the spectrum has a finite self-intersection."""
-        parts = [_geo_parts(t, self.base) for t in self.geos]
         cands: set[int] = set()
-        for cp1, d1, _, _ in parts:
-            for cp2, d2, _, _ in parts:
+        for cp1, d1, _, _ in self.tails:
+            for cp2, d2, _, _ in self.tails:
                 if cp1 == cp2 and d1 != d2:
                     cands.add(d1 - d2)
         explicit = tuple(
@@ -511,7 +490,7 @@ class SymbolicSet:
             for r1 in rset:
                 for r2 in rset:
                     deltas.add((r1 - r2) % p)
-            for cp, d, s, j in parts:
+            for cp, d, s, j in self.tails:
                 rinf = {
                     (cp * pow(self.base, m, p) + d) % p
                     for m in _orbit_split(s, j, u, v)[1]
@@ -524,7 +503,7 @@ class SymbolicSet:
                 rep = delta if delta != 0 else p
                 child = self.intersect(self.translate(rep))
                 uniform = (
-                    not self.geos
+                    not self.tails
                     and not any((f - delta) % p in rset for f in self.finite)
                     and not any(
                         (f1 - f2 - delta) % p == 0
@@ -567,20 +546,19 @@ class SymbolicSet:
         outside the shift spectrum."""
         nf = len(self.finite)
         bound = nf
-        parts = [_geo_parts(t, self.base) for t in self.geos]
-        for cp1, d1, _, _ in parts:
-            for cp2, d2, _, _ in parts:
+        for _, d1, _, _ in self.tails:
+            for _, d2, _, _ in self.tails:
                 mag = abs(d1) + abs(d2) + gmax + 1
                 vmax = 0
                 while self.base**vmax <= mag:
                     vmax += 1
                 bound += 2 * (vmax + 1)
-        bound += 2 * nf * len(self.geos)
+        bound += 2 * nf * len(self.tails)
         if self.aps:
             p = self.aps[0].modulus
             u, _ = _powmod_orbit(self.base, p)
             bound += 2 * nf
-            bound += 2 * len(self.geos) * len(self.aps) * max(u, 1)
+            bound += 2 * len(self.tails) * len(self.aps) * max(u, 1)
         return bound
 
     def __repr__(self) -> str:
@@ -595,56 +573,73 @@ class SymbolicSet:
 
 
 def _geo_in_ap(
-    part: tuple[int, int, int, int], apterm: APTerm, orbit: tuple[int, int], b0: int
-) -> tuple[list[GeoTerm], list[int]]:
-    """Exact intersection of a geometric tail, given by its _geo_parts, with
-    a progression; orbit is _powmod_orbit(b0, modulus)."""
+    part: Tail, p: int, rset: frozenset[int], orbit: tuple[int, int], b0: int
+) -> tuple[list[Tail], list[int]]:
+    """Exact intersection of a tail with the periodic part of residues rset
+    mod p; orbit is _powmod_orbit(b0, p)."""
     cp, d, s, j = part
-    p, r = apterm.modulus, apterm.residue
     head, firsts, step = _orbit_split(s, j, *orbit)
 
     def hits(exponents: range) -> list[int]:
-        return [m for m in exponents if (cp * pow(b0, m, p) + d - r) % p == 0]
+        return [m for m in exponents if (cp * pow(b0, m, p) + d) % p in rset]
 
     vals = [cp * b0**m + d for m in hits(head)]
-    return [GeoTerm(b0**step, cp * b0**m, d, 0) for m in hits(firsts)], vals
+    return [(cp, d, m, step) for m in hits(firsts)], vals
+
+
+def _residue_meet(
+    aps1: tuple[APTerm, ...], aps2: tuple[APTerm, ...]
+) -> list[APTerm]:
+    """Intersect two periodic parts, each with one modulus.  By the CRT, r1
+    mod p1 meets r2 mod p2 exactly when r1 = r2 mod gcd(p1, p2), so each
+    residue is paired only with the other side's residues in its class:
+    the work is the size of the operands and of the result, and with one
+    shared modulus the result is the intersection of the residue sets."""
+    if not aps1 or not aps2:
+        return []
+    p1, p2 = aps1[0].modulus, aps2[0].modulus
+    g = math.gcd(p1, p2)
+    classes: dict[int, list[int]] = {}
+    for t in aps2:
+        classes.setdefault(t.residue % g, []).append(t.residue)
+    out = []
+    for t in aps1:
+        for r2 in classes.get(t.residue % g, ()):
+            r, m = _crt(t.residue, p1, r2, p2)
+            out.append(APTerm(m, r))
+    return out
 
 
 def _geo_geo(
-    part1: tuple[int, int, int, int], part2: tuple[int, int, int, int], b0: int
-) -> tuple[list[GeoTerm], list[int]]:
-    """Exact intersection of two geometric tails, given by their _geo_parts.
+    part1: Tail, part2: Tail, b0: int
+) -> tuple[list[Tail], list[int]]:
+    """Exact intersection of two tails.
 
-    Equal keys reduce to intersecting exponent progressions.  Distinct keys
+    Equal keys reduce to intersecting the one-sided exponent progressions
+    {s + j*a : a >= 0}, by the CRT above the larger start.  Distinct keys
     meet finitely often: writing the difference of offsets as D, any common
-    value has min(m, k) bounded by the b0-adic valuation of D, which makes
-    the enumeration below exhaustive.
+    value has min(m, k) bounded by the b0-adic valuation of D, so it is one
+    of either tail's values at an exponent up to that bound.
     """
     cp1, d1, s1, j1 = part1
     cp2, d2, s2, j2 = part2
     if (cp1, d1) == (cp2, d2):
-        inter = _ap_intersect((s1, j1), (s2, j2))
-        if inter is None:
+        sol = _crt(s1 % j1, j1, s2 % j2, j2)
+        if sol is None:
             return [], []
-        m0, step = inter
-        return [GeoTerm(b0**step, cp1 * b0**m0, d1, 0)], []
+        r, step = sol
+        lo = max(s1, s2)
+        return [(cp1, d1, lo + (r - lo) % step, step)], []
     diff = d2 - d1
     if diff == 0:
         return [], []
-    vals: set[int] = set()
     vmax = _val(b0, diff)
-    for m in range(vmax + 1):
-        if not _in_ap(m, s1, j1):
-            continue
-        k = _solve_pow(cp1 * b0**m - diff, cp2, b0)
-        if k is not None and _in_ap(k, s2, j2):
-            vals.add(cp1 * b0**m + d1)
-    for k in range(vmax + 1):
-        if not _in_ap(k, s2, j2):
-            continue
-        m = _solve_pow(cp2 * b0**k + diff, cp1, b0)
-        if m is not None and _in_ap(m, s1, j1):
-            vals.add(cp1 * b0**m + d1)
+    vals: set[int] = set()
+    for (ca, da, sa, ja), (cb, db, sb, jb) in ((part1, part2), (part2, part1)):
+        for m in range(sa, vmax + 1, ja):
+            k = _solve_pow(ca * b0**m + da - db, cb, b0)
+            if k is not None and k >= sb and (k - sb) % jb == 0:
+                vals.add(ca * b0**m + da)
     return [], sorted(vals)
 
 
@@ -690,8 +685,7 @@ def make_set(
     """Normalize raw parts into a canonical SymbolicSet."""
     if base < 2:
         raise ValueError(f"session base must be >= 2, got {base}")
-    f, g, a = _normalize(base, finite, geos, aps)
-    return SymbolicSet(f, g, a, base)
+    return _normalize(base, finite, [_geo_parts(t, base) for t in geos], aps)
 
 
 def finite_set(xs: Iterable[int], base: int = DEFAULT_BASE) -> SymbolicSet:

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from thinlab.engine import (
@@ -505,3 +511,42 @@ def test_level_at_most_number_of_keys(rng):
                 assert verdict.level <= len(keys)
                 levels.add(verdict.level)
     assert levels >= {0, 1, 2, 3}
+
+
+HUGE_START = [
+    (f"geo(2,1,0,{10**6})", "ExactLevel(level=1)", "1"),
+    (f"geo(2,1,0,{10**6}) | {{5}}", "ExactLevel(level=1)", "1"),
+    (f"geo(2,1,0,{10**6}) | ap(4,1)", "replay ok", "NOT_WELL_FOUNDED"),
+    (f"geo(4,3,5,{5 * 10**5}) | geo(4,3,7,{5 * 10**5})", "ExactLevel(level=2)", "2"),
+]
+
+_HUGE_START_RUN = """
+import json, sys
+from thinlab.dsl import parse_set
+from thinlab.engine import Engine, NotInThinCompletion
+a = parse_set(sys.argv[1])
+verdict = Engine().classify(a)
+shown = repr(verdict)
+if isinstance(verdict, NotInThinCompletion):
+    shown = "replay ok" if Engine().replay_witness(a, verdict.witness) else "replay FAILED"
+print(json.dumps([shown, repr(Engine().tree_rank(a))]))
+"""
+
+
+@pytest.mark.parametrize("text, verdict, rank", HUGE_START)
+def test_huge_start_exponents_cost_what_small_ones_do(text, verdict, rank):
+    """Tails are stored with symbolic exponents, so a start index of 10**6
+    never becomes a literal 2**(10**6) on the classify, tree_rank or
+    witness replay path; the bound is generous against a run of well
+    under a second."""
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_START_RUN, text],
+        env=env, capture_output=True, text=True, timeout=30, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [verdict, rank]

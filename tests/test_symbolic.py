@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -16,7 +17,7 @@ from thinlab.symbolic import (
     make_set,
     random_set,
 )
-from thinlab.symbolic import _minimal_shift_period, _orbit_split
+from thinlab.symbolic import _crt, _minimal_shift_period, _orbit_split, _residue_meet
 
 # ---------------------------------------------------------------------------
 # Independent brute-force evaluation of raw term lists.  All derived
@@ -559,3 +560,25 @@ def test_emptiness_and_finiteness():
     assert finite_set([0]).is_finite()
     assert not ap(5, 0).is_finite()
     assert not geo(2, 1, 0, 0).is_finite()
+
+
+def test_residue_meet_matches_pairwise_crt():
+    """Every pair of nonempty residue sets with moduli 1..6: meeting the
+    residues class by class modulo the gcd gives the progressions, without
+    repeats, that pairing every residue with every other through the CRT
+    gives."""
+    parts = [
+        tuple(APTerm(m, r) for r in rs)
+        for m in range(1, 7)
+        for k in range(1, m + 1)
+        for rs in itertools.combinations(range(m), k)
+    ]
+    for a in parts:
+        for b in parts:
+            pairwise = [
+                APTerm(sol[1], sol[0])
+                for t1 in a
+                for t2 in b
+                if (sol := _crt(t1.residue, t1.modulus, t2.residue, t2.modulus))
+            ]
+            assert sorted(_residue_meet(a, b)) == sorted(pairwise)
