@@ -26,11 +26,33 @@ of itself equals it (in a finite group both have the same size; on Z the
 shift must fix the periodic part, the tail offsets and the finite part).
 So a child that is a translate of an ancestor equals its parent: classify
 finds a cycle as a fixed point, without comparing a node with ancestors.
+
+On Z, classify reads the level off the cube structure of the tails.  The
+paper (arXiv:1011.2585) characterizes the thin completion by cubes: A lies
+in it iff along every sequence g_0, g_1, ... of nonzero shifts some
+intersection of the translates g_0^i_0 ... g_n^i_n A, i_j in {0, 1}, lies
+in F.  Likewise the derived set along g_1..g_k is the intersection of the
+translates A + s over the subset sums s of the path, so A_(g_1..g_k) is
+infinite exactly when some tail survives every such translate.  Tails with different reduced coefficients cp meet finitely,
+and two tails of one cp meet infinitely exactly when their exponent sets
+share a class mod Q, the lcm of the tail steps.  For each cp and exponent
+class r let D_(cp,r) be the offsets d of the tails that contain r.  A set
+with a periodic part is outside the completion (the period branch is a
+fixed point); for any other set,
+
+    level(A) = max over (cp, r) of h(D_(cp,r)),
+    h({}) = 0,  h(D) = 1 + max over g > 0 of h(D & (D - g)),
+
+a recursion on plain finite sets of integers: h(D) - 1 is the largest k
+with a cube x + sums(g_1..g_k) inside D.  The child D & (D - g) is the
+offset set of the derived set along shift -g, whose sibling along +g is a
+translate of it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -145,6 +167,39 @@ def _branches(spectrum: ShiftSpectrum) -> list[tuple[int, SymbolicSet]]:
     return sorted(out)
 
 
+def _offset_sets(x: SymbolicSet) -> set[tuple[int, ...]]:
+    """The maximal D_(cp,r) of a set, as sorted offset tuples.
+
+    A tail (cp, d, m0, q) holds the exponent class m0 mod q.  Classes that
+    meet pairwise share a common exponent (CRT), so the offsets over a
+    maximal family of pairwise meeting classes of one cp form a maximal
+    D_(cp,r).  The families are the maximal cliques of the meeting graph,
+    found by Bron-Kerbosch with pivoting, which never enumerates the
+    exponent classes mod the lcm of the steps one by one."""
+    out = set()
+    by_cp: dict[int, dict[tuple[int, int], list[int]]] = {}
+    for cp, d, m0, q in x.tails:
+        by_cp.setdefault(cp, {}).setdefault((m0 % q, q), []).append(d)
+    for offsets in by_cp.values():
+        meets = {
+            c: {e for e in offsets if e != c and (c[0] - e[0]) % math.gcd(c[1], e[1]) == 0}
+            for c in offsets
+        }
+
+        def extend(family: list, cand: set, done: set) -> None:
+            if not cand and not done:
+                out.add(tuple(sorted(d for c in family for d in offsets[c])))
+                return
+            pivot = max(sorted(cand | done), key=lambda c: len(cand & meets[c]))
+            for c in sorted(cand - meets[pivot]):
+                extend(family + [c], cand & meets[c], done & meets[c])
+                cand = cand - {c}
+                done = done | {c}
+
+        extend([], set(offsets), set())
+    return out
+
+
 class SymbolicUniverse:
     """Symbolic subsets of Z over the family of finite sets."""
 
@@ -166,8 +221,7 @@ class SymbolicUniverse:
     def children(self, x: SymbolicSet) -> list[tuple[int, SymbolicSet]]:
         """Branches of the derivation tree at x, from its shift spectrum:
         every shift with an infinite child, residue classes of such shifts
-        by one representative each.  Classify reaches this only for sets
-        without a periodic part, which have no classes."""
+        by one representative each."""
         return _branches(x.shift_spectrum())
 
     def periodic(self, x: SymbolicSet) -> int | None:
@@ -334,6 +388,7 @@ class Engine:
     def __init__(self, universe: SymbolicUniverse | FiniteGroupUniverse | None = None):
         self.universe = universe if universe is not None else SymbolicUniverse()
         self._memo: dict = {}
+        self._heights: dict[tuple[int, ...], int] = {}
 
     # -- public API -------------------------------------------------------
 
@@ -343,6 +398,8 @@ class Engine:
         self.universe.validate(x)
         counter = _Counter()
         try:
+            if isinstance(self.universe, SymbolicUniverse):
+                return self._classify_z(x, budget, counter)
             return self._rec(x, (), budget, counter)
         except _BudgetStop as stop:
             return Unknown(stop.depth, stop.nodes, stop.path)
@@ -492,6 +549,48 @@ class Engine:
             verdict = ExactLevel(1 + max(child_levels, default=0))
         self._memo[key] = verdict
         return verdict
+
+    def _classify_z(self, x: SymbolicSet, budget: Budget, counter: _Counter):
+        """The level of a subset of Z by the cube reduction, memoized per
+        translation orbit; a set with a periodic part hunts its cycle."""
+        if self.universe.in_family(x):
+            return ExactLevel(0)
+        if x.period is not None:
+            return self._hunt_cycle(x)
+        key = self.universe.norm_key(x)
+        if key not in self._memo:
+            self._memo[key] = ExactLevel(max(
+                self._height(d, (), budget, counter) for d in sorted(_offset_sets(x))
+            ))
+        return self._memo[key]
+
+    def _height(
+        self, d: tuple[int, ...], shifts: tuple[int, ...], budget: Budget, counter: _Counter
+    ) -> int:
+        """h(d) for sorted nonempty offsets d reached along shifts, memoized
+        on the translate with least offset 0.  One pass over the pairs of d
+        builds every child d & (d - g); each costs two nodes, for the
+        derivation shifts -g and +g, whose derived sets are translates of
+        each other.  Children are taken largest first, and since a child
+        loses the largest offset, h(c) <= |c|: a child no larger than the
+        best height so far cannot raise it and is not descended into."""
+        key = tuple([v - d[0] for v in d]) if d[0] else d
+        if key in self._heights:
+            return self._heights[key]
+        if len(shifts) >= budget.max_depth:
+            raise _BudgetStop(len(shifts), counter.nodes, shifts)
+        children: dict[int, list[int]] = {}
+        for i, a in enumerate(key):
+            for b in key[i + 1:]:
+                children.setdefault(b - a, []).append(a)
+        best = 0
+        for g, child in sorted(children.items(), key=lambda gc: (-len(gc[1]), gc[0])):
+            counter.tick(budget, shifts + (-g,))
+            counter.tick(budget, shifts + (g,))
+            if len(child) > best:
+                best = max(best, self._height(tuple(child), shifts + (-g,), budget, counter))
+        self._heights[key] = 1 + best
+        return 1 + best
 
     def _hunt_cycle(self, x) -> NotInThinCompletion:
         """Follow the period branch of a set with a periodic part to its

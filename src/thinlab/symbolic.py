@@ -213,34 +213,34 @@ def _decompose_family(
 
     The eventual period is minimal and each tail extends as far down as
     membership continues; finitely many exponents fall outside every tail.
+    Per residue class mod Q, the lcm of the steps, the exponents run from
+    the least progression element up, extended downward by singles.  A
+    tail of period q starts q above the highest exponent missing from its
+    classes mod Q, or at its least class member when none is missing, so
+    the work does not grow with the gaps between start exponents.
     """
     if not ap_list:
         return [], sorted(singles)
     big_q = math.lcm(*[j for _, j in ap_list])
-    t0 = max(max(s for s, _ in ap_list), (max(singles) + 1) if singles else 0)
-
-    def member(m: int) -> bool:
-        return m in singles or any(m >= s and (m - s) % j == 0 for s, j in ap_list)
-
-    present = frozenset(
-        r for r in range(big_q) if any((r - s) % j == 0 for s, j in ap_list)
-    )
-    q = _minimal_shift_period(big_q, present)
+    low: dict[int, int] = {}
+    for s, j in ap_list:
+        for m in range(s, s + big_q, j):
+            if m < low.get(m % big_q, m + 1):
+                low[m % big_q] = m
+    for rho, m in low.items():
+        while m - big_q in singles:
+            m -= big_q
+        low[rho] = m
+    q = _minimal_shift_period(big_q, frozenset(low))
     starts: dict[int, int] = {}
-    for r in sorted({r % q for r in present}):
-        m0 = t0 + ((r - t0) % q)
-        while m0 - q >= 0 and member(m0 - q):
-            m0 -= q
-        starts[r] = m0
+    for rho, m in low.items():
+        starts[rho % q] = max(starts.get(rho % q, rho % q), m - big_q + q)
     tails = [(starts[r], q) for r in sorted(starts)]
     leftovers: set[int] = set()
-    bound = max(starts.values())
     for s, j in ap_list:
-        m = s
-        while m < bound:
-            if m < starts[m % q]:
-                leftovers.add(m)
-            m += j
+        step = math.lcm(j, q)
+        for m in range(s, s + step, j):
+            leftovers.update(range(m, starts[m % q], step))
     for m in singles:
         r = m % q
         if r not in starts or m < starts[r]:

@@ -306,3 +306,23 @@ def test_output_bytes_deterministic():
         ("selftest", "--trials", "25"),
     ):
         assert module_run(*args) == module_run(*args)
+
+
+def test_classify_escalation_stage_8_in_seconds():
+    """The cube reduction classifies stage 8 of the escalation chain
+    (128 tails) in milliseconds; most of the run is parsing."""
+    from thinlab.bounds import escalate
+    from thinlab.dsl import format_set
+    from thinlab.engine import Engine
+    from thinlab.symbolic import geo
+
+    engine = Engine()
+    stage = geo(2, 1, 0, 0)
+    for _ in range(7):
+        stage = escalate(stage, engine)
+    proc = subprocess.run(
+        [sys.executable, "-m", "thinlab.cli", "classify", format_set(stage), "--no-timing"],
+        capture_output=True, text=True, timeout=10, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "level: 8\n" in proc.stdout

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from thinlab.ideals import SizeAtMost
 from thinlab.symbolic import (
     APTerm,
     GeoTerm,
+    SymbolicSet,
     _geo_parts,
     ap,
     empty_set,
@@ -176,10 +178,86 @@ def test_escalation_chain_levels():
 
     eng = Engine()
     a = A
-    for lvl in (1, 2, 3, 4):
+    for lvl in range(1, 9):
         assert eng.classify(a) == ExactLevel(lvl)
-        assert eng.tree_rank(a) == lvl
+        # tree_rank takes tens of seconds from level 7 on
+        if lvl <= 6:
+            assert eng.tree_rank(a) == lvl
         a = escalate(a, eng)
+
+
+def _cube_dimensions(span: int) -> list[int]:
+    """For every subset D of [0, span] as a bitmask, the largest k with a
+    cube x + sums(g_1..g_k), all g_i > 0, inside D (-1 for D empty): each
+    multiset of shifts is laid out by bitmask shifts at every x, then the
+    best cube is pushed up to the supersets of its mask."""
+    best = [-1] * (1 << (span + 1))
+
+    def lay(gs: tuple[int, ...], total: int) -> None:
+        mask = 1
+        for g in gs:
+            mask |= mask << g
+        for x in range(span - total + 1):
+            best[mask << x] = max(best[mask << x], len(gs))
+        for g in range(gs[-1] if gs else 1, span - total + 1):
+            lay(gs + (g,), total + g)
+
+    lay((), 0)
+    for bit in range(span + 1):
+        for m in range(len(best)):
+            if m >> bit & 1:
+                best[m] = max(best[m], best[m ^ (1 << bit)])
+    return best
+
+
+def test_level_is_one_plus_largest_cube_in_offsets():
+    """A set of tails {25 * 2**m + d : m >= 0} for d in D has no cross-key
+    coincidences when D lies in [0, 12], so its level is h(D), and h(D) - 1
+    is the dimension of the largest cube inside D."""
+    span = 12
+    best = _cube_dimensions(span)
+    eng = Engine()
+    for mask in range(1 << (span + 1)):
+        offsets = [d for d in range(span + 1) if mask >> d & 1]
+        a = SymbolicSet(tails=tuple((25, d, 0, 1) for d in offsets))
+        assert eng.classify(a) == ExactLevel(best[mask] + 1), offsets
+    whole = range(span + 1)
+    assert SymbolicSet(tails=tuple((25, d, 0, 1) for d in whole)) == make_set(
+        geos=[GeoTerm(2, 25, d) for d in whole]
+    )
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_cube_levels_agree_with_tree_rank(base):
+    """Sets with no periodic part against the independent recursion on
+    exact sets.  Coefficients from {1, -1, base} and offsets in [0, 8) make
+    tails share a reduced coefficient often enough to reach level 3 and
+    more; exponent steps run from 1 to 3 and start indices from 0 to 2."""
+    rng = random.Random(base)
+    deep = 0
+    for _ in range(150):
+        geos = [
+            GeoTerm(base ** rng.choice([1, 1, 2, 3]), rng.choice([1, 1, -1, base]),
+                    rng.randrange(8), rng.randrange(3))
+            for _ in range(rng.randrange(1, 7))
+        ]
+        finite = [rng.randrange(-20, 21) for _ in range(rng.randrange(3))]
+        a = make_set(finite, geos, base=base)
+        verdict = Engine().classify(a)
+        assert verdict == ExactLevel(Engine().tree_rank(a)), a
+        deep += verdict.level >= 3
+    assert deep >= 10
+
+
+def test_engine_limits_suite_still_starves_deep_probe():
+    from thinlab.selftest import _Ctx, _suite_engine_limits
+
+    chain = A
+    for _ in range(2):
+        scaled = chain.scale(3)
+        chain = scaled.union(scaled.translate(1))
+    assert isinstance(Engine().classify(chain, Budget(max_depth=4, max_nodes=3)), Unknown)
+    assert _suite_engine_limits(_Ctx(seed=0, trials=10, budget=Budget())).failures == []
 
 
 # ---------------------------------------------------------------------------
@@ -550,3 +628,31 @@ def test_huge_start_exponents_cost_what_small_ones_do(text, verdict, rank):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [verdict, rank]
+
+
+_COPRIME_STEPS_RUN = """
+import sys
+from thinlab.dsl import parse_set
+from thinlab.engine import Engine
+print(repr(Engine().classify(parse_set(sys.argv[1]))))
+"""
+
+
+def test_coprime_exponent_steps_cost_no_lcm():
+    """Ten tails of one coefficient with prime exponent steps 2..29: their
+    classes meet pairwise, so the offsets 0..9 form one D and the level is
+    h({0..9}) = 10.  The lcm of the steps is about 6.5e9; classify finds
+    the meeting families without walking the classes below it."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    text = " | ".join(f"geo({2**p},1,{d},0)" for d, p in enumerate(primes))
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _COPRIME_STEPS_RUN, text],
+        env=env, capture_output=True, text=True, timeout=30, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ExactLevel(level=10)"

@@ -1,14 +1,19 @@
 """Exact verdicts, witnesses and Unknown fields, pinned by digest.
 
-The digest was recorded from an engine that matched every child against
-every ancestor of its path; it pins the values a reimplementation of the
-cycle test must keep, field for field, on two corpora.
+The digests were recorded from an engine that matched every child against
+every ancestor of its path; they pin the values a reimplementation of the
+cycle test must keep, field for field, on two corpora.  On Z the default
+budget's verdicts are still those of that engine.  Starved budgets stop
+where the cube reduction's traversal stops, so their Unknown fields are
+pinned on their own, next to checks that hold for any traversal: a
+starved verdict is Unknown or the default one, stays within its budget,
+and reports a path whose derived set is infinite.
 """
 
 import hashlib
 import random
 
-from thinlab.engine import Budget, Engine, FiniteGroupUniverse
+from thinlab.engine import Budget, Engine, FiniteGroupUniverse, Unknown
 from thinlab.groups import GroupDescriptor
 from thinlab.ideals import SizeAtMost
 from thinlab.symbolic import random_set
@@ -18,7 +23,9 @@ GROUPS = [GroupDescriptor.cyclic(n) for n in range(2, 9)] + [
 ]
 
 FINITE_DIGEST = "4f98b300e29ea2ee7c4efb5b578b562876ec9ec3108beba863e0f81504960195"
-SYMBOLIC_DIGEST = "a3021d9603b75be11b2d1ee3cd25ad7b61bb2dbd3ca40271d188147ec82a988c"
+SYMBOLIC_DIGEST = "bd28d83092c0f54062aebabdfce1cd983b8f2b65c0cbd4cadbe04f0ff544764b"
+STARVED_DIGEST = "20514821a2f5736df11e08299fd076c663c6b1a53a40cbb58aa81a435673625e"
+STARVED = (Budget(max_nodes=3), Budget(max_depth=1))
 
 
 def _digest(lines) -> str:
@@ -38,13 +45,17 @@ def finite_verdicts():
                 yield f"{group.describe()} {t} {mask} {engine.classify(mask)!r}"
 
 
-def symbolic_verdicts():
-    """Seeded random sets, two in three with a periodic part, on one engine
-    per budget (so memo hits are pinned too), under the default budget and
-    two starved ones that end some runs in Unknown."""
+def symbolic_sets():
+    """Seeded random sets, two in three with a periodic part."""
     rng = random.Random(20100401)
-    sets = [random_set(rng, max_geo=4) for _ in range(400)]
-    for budget in (Budget(), Budget(max_nodes=3), Budget(max_depth=1)):
+    return [random_set(rng, max_geo=4) for _ in range(400)]
+
+
+def symbolic_verdicts(budgets):
+    """The sets classified on one engine per budget, so memo hits are
+    pinned too."""
+    sets = symbolic_sets()
+    for budget in budgets:
         engine = Engine()
         for k, a in enumerate(sets):
             yield f"{k} {budget!r} {engine.classify(a, budget)!r}"
@@ -55,4 +66,24 @@ def test_finite_group_verdicts_pinned():
 
 
 def test_symbolic_verdicts_pinned():
-    assert _digest(symbolic_verdicts()) == SYMBOLIC_DIGEST
+    assert _digest(symbolic_verdicts([Budget()])) == SYMBOLIC_DIGEST
+    assert _digest(symbolic_verdicts(STARVED)) == STARVED_DIGEST
+
+
+def test_starved_verdicts_are_unknown_or_default():
+    """On a fresh engine per set, so no memo hit hides a budget stop."""
+    sets = symbolic_sets()
+    default = [Engine().classify(a) for a in sets]
+    stops = 0
+    for budget in STARVED:
+        for a, expected in zip(sets, default):
+            engine = Engine()
+            verdict = engine.classify(a, budget)
+            if not isinstance(verdict, Unknown):
+                assert verdict == expected, a
+                continue
+            stops += 1
+            assert verdict.nodes_used <= budget.max_nodes + 1, a
+            assert verdict.depth_reached <= budget.max_depth, a
+            assert not engine.derived_set(a, verdict.deepest_path).is_finite(), a
+    assert stops > 0
