@@ -7,9 +7,8 @@ magnitude; `c_of_n` inverts it: the least m forcing every image past n.
 `c_n_k` evaluates the recursive union-level bound built from c.
 
 `escalate` lifts a set one exact hierarchy level (scale by 3, union a
-translate); `limit_set` stacks classified stages along an expanding scale;
-`union_level_check` classifies a union of two classified sets against the
-c-derived bounds.
+translate); `union_level_check` classifies a union of two classified sets
+against the c-derived bounds.
 """
 
 from __future__ import annotations
@@ -174,24 +173,6 @@ def escalate(
         )
     scaled = a.scale(3)
     return scaled.union(scaled.translate(1))
-
-
-def limit_set(stages: list[tuple[SymbolicSet, int]], k: int) -> SymbolicSet:
-    """Finite-stage expanding union: stage i enters scaled by k**(i+1).
-
-    With |k| >= 2 the stages occupy disjoint scale bands, so the union's
-    level is at least every stage level (tested property, not assumed)."""
-    if abs(k) < 2:
-        raise ValueError(f"limit construction needs an expanding scale, got {k}")
-    out: SymbolicSet | None = None
-    for i, (stage, _level) in enumerate(stages):
-        piece = stage.scale(k ** (i + 1))
-        out = piece if out is None else out.union(piece)
-    if out is None:
-        from .symbolic import empty_set
-
-        return empty_set()
-    return out
 
 
 @dataclass(frozen=True)

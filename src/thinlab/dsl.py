@@ -106,10 +106,28 @@ class _Parser:
         return value
 
     def union(self):
-        left = self.inter()
+        """A '|' chain, canonicalized once.  Should that fail, the chain is
+        folded left to right as it is read, so the set, or the error and
+        caret of the first '|' that fails, is the fold's; a later operand's
+        error comes only after the fold up to it has passed."""
+        operands, ops = [self.inter()], []
         while self.peek().kind == "|":
-            op = self.take()
-            right = self.inter()
+            ops.append(self.take())
+            try:
+                operands.append(self.inter())
+            except ParseError:
+                self._fold(operands, ops)
+                raise
+        if ops and all(isinstance(a, SymbolicSet) for a in operands):
+            try:
+                return operands[0].union(*operands[1:])
+            except ValueError:
+                pass
+        return self._fold(operands, ops)
+
+    def _fold(self, operands: list, ops: list[_Token]):
+        left = operands[0]
+        for op, right in zip(ops, operands[1:]):
             left = self._set_op(left, right, op, "union")
         return left
 

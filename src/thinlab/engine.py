@@ -25,7 +25,8 @@ Derived sets only shrink along a path, and a set that contains a translate
 of itself equals it (in a finite group both have the same size; on Z the
 shift must fix the periodic part, the tail offsets and the finite part).
 So a child that is a translate of an ancestor equals its parent: classify
-finds a cycle as a fixed point, without comparing a node with ancestors.
+and tree_rank find a cycle as a fixed point, without comparing a node with
+ancestors.
 
 On Z, classify reads the level off the cube structure of the tails.  The
 paper (arXiv:1011.2585) characterizes the thin completion by cubes: A lies
@@ -224,9 +225,6 @@ class SymbolicUniverse:
         by one representative each."""
         return _branches(x.shift_spectrum())
 
-    def periodic(self, x: SymbolicSet) -> int | None:
-        return x.period
-
     def norm_key(self, x: SymbolicSet) -> SymbolicSet:
         """x moved to put its least geometric offset, else its least
         element, at 0; classify calls it only on sets with no periodic part."""
@@ -296,9 +294,6 @@ class FiniteGroupUniverse:
     def children(self, x: int) -> list[tuple[int, int]]:
         """(g, x & (g + x)) for every nonidentity g."""
         return [(g, self.derive(x, g)) for g in self.group.nonidentity()]
-
-    def periodic(self, x: int) -> None:
-        return None
 
     def norm_key(self, x: int) -> int:
         return min(mask_translate(self.group, x, g) for g in self.group.elements())
@@ -383,12 +378,15 @@ class TreeDump:
 
 
 class Engine:
-    """Classifier with a per-universe memo of translation-orbit verdicts."""
+    """Classifier for one universe.  Verdicts, heights and tree ranks
+    belong to the set, not to the path that reached it, so each engine
+    memoizes them across calls; a memo hit spends no budget."""
 
     def __init__(self, universe: SymbolicUniverse | FiniteGroupUniverse | None = None):
         self.universe = universe if universe is not None else SymbolicUniverse()
         self._memo: dict = {}
         self._heights: dict[tuple[int, ...], int] = {}
+        self._ranks: dict = {}
 
     # -- public API -------------------------------------------------------
 
@@ -418,39 +416,36 @@ class Engine:
     def tree_rank(self, x, budget: Budget | None = None):
         """Rank of the derivation tree: an integer, NOT_WELL_FOUNDED, or
         Unknown.  Independent of classify: plain recursion over branches
-        with path-based cycle detection and an exact-set memo."""
+        of exact sets, where a child equal to its parent is a cycle.
+        Ranks, NOT_WELL_FOUNDED included, are memoized per engine."""
         budget = budget if budget is not None else Budget()
         self.universe.validate(x)
-        memo: dict = {}
         counter = _Counter()
 
-        def rec(y, path: tuple, shifts: tuple[int, ...]):
+        def rec(y, shifts: tuple[int, ...]):
             if self.universe.in_family(y):
                 return 0
-            for anc in path:
-                if self.universe.match_translate(anc, y) is not None:
-                    return NOT_WELL_FOUNDED
-            if y in memo:
-                return memo[y]
+            if y in self._ranks:
+                return self._ranks[y]
             if len(shifts) >= budget.max_depth:
                 raise _BudgetStop(len(shifts), counter.nodes, shifts)
             best = 0
-            outside = False
             for g, child in self.universe.children(y):
                 counter.tick(budget, shifts + (g,))
                 if self.universe.in_family(child):
                     continue
-                outside = True
-                r = rec(child, path + (y,), shifts + (g,))
+                r = NOT_WELL_FOUNDED if child == y else rec(child, shifts + (g,))
                 if r is NOT_WELL_FOUNDED:
-                    return NOT_WELL_FOUNDED
+                    rank = NOT_WELL_FOUNDED
+                    break
                 best = max(best, r)
-            rank = 1 + best if outside else 1
-            memo[y] = rank
+            else:
+                rank = 1 + best
+            self._ranks[y] = rank
             return rank
 
         try:
-            return rec(x, (), ())
+            return rec(x, ())
         except _BudgetStop as stop:
             return Unknown(stop.depth, stop.nodes, stop.path)
 
@@ -521,8 +516,6 @@ class Engine:
     def _rec(self, x, shifts: tuple[int, ...], budget: Budget, counter: _Counter):
         if self.universe.in_family(x):
             return ExactLevel(0)
-        if self.universe.periodic(x) is not None:
-            return self._hunt_cycle(x)
         key = self.universe.norm_key(x)
         if key in self._memo:
             return self._memo[key]
@@ -592,12 +585,12 @@ class Engine:
         self._heights[key] = 1 + best
         return 1 + best
 
-    def _hunt_cycle(self, x) -> NotInThinCompletion:
+    def _hunt_cycle(self, x: SymbolicSet) -> NotInThinCompletion:
         """Follow the period branch of a set with a periodic part to its
         fixed point: deriving by the period p keeps the periodic part, so
         the shrinking chain x, x & (p + x), ... stops at an infinite set
         equal to its own child."""
-        p = self.universe.periodic(x)
+        p = x.period
         for k in range(100_000):
             nxt = self.universe.derive(x, p)
             if nxt == x:

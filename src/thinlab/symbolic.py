@@ -418,12 +418,14 @@ class SymbolicSet:
             base=b0,
         )
 
-    def union(self, other: "SymbolicSet") -> "SymbolicSet":
+    def union(self, *others: "SymbolicSet") -> "SymbolicSet":
+        """The union of self and others, canonicalized once."""
+        sets = (self,) + others
         return _normalize(
-            self._common_base(other),
-            self.finite + other.finite,
-            self.tails + other.tails,
-            self.aps + other.aps,
+            self._common_base(*others),
+            [x for s in sets for x in s.finite],
+            [t for s in sets for t in s.tails],
+            [t for s in sets for t in s.aps],
         )
 
     def __or__(self, other: "SymbolicSet") -> "SymbolicSet":
@@ -457,14 +459,14 @@ class SymbolicSet:
     def __and__(self, other: "SymbolicSet") -> "SymbolicSet":
         return self.intersect(other)
 
-    def _common_base(self, other: "SymbolicSet") -> int:
-        if self.base == other.base:
-            return self.base
-        if not self.tails:
-            return other.base
-        if not other.tails:
-            return self.base
-        raise ValueError(f"session base mismatch: {self.base} vs {other.base}")
+    def _common_base(self, *others: "SymbolicSet") -> int:
+        """The base of the operands with tails, which must agree, else the
+        last operand's base."""
+        sets = (self,) + others
+        bases = list(dict.fromkeys(s.base for s in sets if s.tails))
+        if len(bases) > 1:
+            raise ValueError("session base mismatch: " + " vs ".join(map(str, bases)))
+        return bases[0] if bases else sets[-1].base
 
     # -- shift spectrum ---------------------------------------------------
 

@@ -11,11 +11,10 @@ from thinlab.bounds import (
     c_of_n,
     cubic_image_min,
     escalate,
-    limit_set,
     union_level_check,
 )
 from thinlab.engine import Budget, Engine, ExactLevel, Unknown
-from thinlab.symbolic import ap, empty_set, finite_set, geo
+from thinlab.symbolic import ap, finite_set, geo
 
 A = geo(2, 1, 0, 0)
 
@@ -175,7 +174,8 @@ def test_escalate_frozen_first_step():
 
 def test_escalate_second_step_components():
     eng = Engine()
-    c = escalate(escalate(A, eng), eng)
+    b = escalate(A, eng)
+    c = escalate(b, eng)
     assert c == (
         geo(2, 9, 0, 0) | geo(2, 9, 1, 0) | geo(2, 9, 3, 0) | geo(2, 9, 4, 0)
     )
@@ -185,6 +185,10 @@ def test_escalate_second_step_components():
         for d in (0, 1, 3, 4):
             assert c.member(9 * 2**n + d)
         assert not c.member(9 * 2**n + 2)
+    # the stages scaled into disjoint bands: the union is at least as high
+    # as every stage
+    verdict = eng.classify(A.scale(3) | b.scale(9) | c.scale(27))
+    assert isinstance(verdict, ExactLevel) and verdict.level >= 3
 
 
 def test_escalate_rejects_unsuitable_inputs():
@@ -196,52 +200,6 @@ def test_escalate_rejects_unsuitable_inputs():
     deep = escalate(A, eng)  # level 2: needs real exploration
     with pytest.raises(ValueError):
         escalate(deep, Engine(), Budget(max_depth=32, max_nodes=1))
-
-
-# ---------------------------------------------------------------------------
-# Limit construction
-# ---------------------------------------------------------------------------
-
-
-def test_limit_set_empty_and_single():
-    eng = Engine()
-    assert limit_set([], 3) == empty_set()
-    single = limit_set([(A, 1)], 3)
-    assert single == geo(2, 3, 0, 0)
-    assert eng.classify(single) == ExactLevel(1)
-
-
-def test_limit_set_two_stages_frozen():
-    eng = Engine()
-    b = escalate(A, eng)
-    out = limit_set([(A, 1), (b, 2)], 3)
-    assert out == geo(2, 3, 0, 0) | geo(2, 27, 0, 0) | geo(2, 27, 9, 0)
-    verdict = eng.classify(out)
-    assert verdict == ExactLevel(2)
-    assert verdict.level >= 2  # at least every stage level
-
-
-def test_limit_set_level_dominates_stages():
-    eng = Engine()
-    stages = []
-    a = A
-    for lvl in (1, 2, 3):
-        stages.append((a, lvl))
-        a = escalate(a, eng)
-    out = limit_set(stages, 3)
-    verdict = eng.classify(out)
-    assert isinstance(verdict, ExactLevel)
-    assert verdict.level >= 3
-
-
-def test_limit_set_validation():
-    with pytest.raises(ValueError):
-        limit_set([(A, 1)], 1)
-    with pytest.raises(ValueError):
-        limit_set([(A, 1)], -1)
-    mirrored = limit_set([(A, 1)], -2)
-    assert mirrored == A.scale(-2)
-    assert mirrored.window(-10, -1) == [-8, -4, -2]
 
 
 # ---------------------------------------------------------------------------

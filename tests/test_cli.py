@@ -308,9 +308,7 @@ def test_output_bytes_deterministic():
         assert module_run(*args) == module_run(*args)
 
 
-def test_classify_escalation_stage_8_in_seconds():
-    """The cube reduction classifies stage 8 of the escalation chain
-    (128 tails) in milliseconds; most of the run is parsing."""
+def escalation_stage_text(level: int) -> str:
     from thinlab.bounds import escalate
     from thinlab.dsl import format_set
     from thinlab.engine import Engine
@@ -318,11 +316,30 @@ def test_classify_escalation_stage_8_in_seconds():
 
     engine = Engine()
     stage = geo(2, 1, 0, 0)
-    for _ in range(7):
+    for _ in range(level - 1):
         stage = escalate(stage, engine)
+    return format_set(stage)
+
+
+def test_classify_escalation_stage_8_in_seconds():
+    """Stage 8 of the escalation chain (128 tails) parses with one
+    canonicalization and classifies by the cube reduction in milliseconds."""
     proc = subprocess.run(
-        [sys.executable, "-m", "thinlab.cli", "classify", format_set(stage), "--no-timing"],
+        [sys.executable, "-m", "thinlab.cli", "classify", escalation_stage_text(8),
+         "--no-timing"],
         capture_output=True, text=True, timeout=10, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     assert "level: 8\n" in proc.stdout
+
+
+def test_classify_escalation_stage_10_with_a_larger_budget():
+    """Stage 10 (512 tails) parses with one canonicalization and needs
+    about 262 000 nodes, more than the default budget."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "thinlab.cli", "classify", escalation_stage_text(10),
+         "--no-timing", "--max-nodes", "1000000"],
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "level: 10\n" in proc.stdout

@@ -1,9 +1,10 @@
+import functools
 import time
 
 import pytest
 
 from thinlab.dsl import ParseError, caret_diagram, format_set, parse_expr, parse_set
-from thinlab.symbolic import ap, empty_set, finite_set, geo, random_set
+from thinlab.symbolic import SymbolicSet, ap, empty_set, finite_set, geo, random_set
 
 
 def err(text: str, base: int = 2) -> ParseError:
@@ -78,6 +79,30 @@ def test_escalation_shape_parses():
     assert got == geo(2, 3, 0, 0) | geo(2, 3, 1, 0)
 
 
+def test_union_chain_equals_left_fold(rng):
+    for _ in range(200):
+        sets = [random_set(rng, max_geo=2) for _ in range(rng.randint(2, 6))]
+        text = " | ".join(f"({format_set(a)})" for a in sets)
+        assert parse_set(text) == functools.reduce(SymbolicSet.union, sets)
+
+
+def test_union_chain_the_fold_accepts_parses_through_the_fold():
+    """At once the moduli 2000 and 999 exceed the lcm limit; folded, the
+    first two progressions merge to period 1000 and the chain fits."""
+    got = parse_set("ap(2000,0) | ap(2000,1000) | ap(999,0)")
+    assert got == ap(1000, 0) | ap(999, 0)
+
+
+@pytest.mark.parametrize("text", [
+    "ap(2000000,0) | geo(2,1,0,0) | ap(2000000,1000000)",
+    "ap(2000000,0) | ap(2000000,1000000) | geo(2,1,0,0)",
+])
+def test_union_chain_canonicalizes_in_any_order(text):
+    """Folded, the first order would meet a tail with period 2*10**6 in
+    hand and fail; at once, the period is 10**6 in both orders."""
+    assert parse_set(text) == ap(1000000, 0) | geo(2, 1, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Errors
 # ---------------------------------------------------------------------------
@@ -100,6 +125,17 @@ def test_error_positions_and_messages():
     assert (e.position, e.message) == (4, "unexpected trailing input 'x'")
     e = err("")
     assert e.position == 0
+
+
+def test_union_chain_errors_are_the_folds():
+    """A chain that fails at once is folded: the error and its caret are
+    those of the first '|' that fails, before any later operand's error."""
+    lcm_error = "progression moduli with lcm 1001000 exceed the canonicalization limit 1000000"
+    e = err("ap(1000,1) | {1} | ap(1001,0) | ap(7,3)")
+    assert (e.position, e.message) == (17, lcm_error)
+    for tail in ("(1 +", "3"):
+        e = err(f"ap(1000,1) | ap(1001,0) | {tail}")
+        assert (e.position, e.message) == (11, lcm_error)
 
 
 def test_semantic_errors_become_parse_errors():

@@ -314,6 +314,10 @@ def test_union_examples():
 def test_union_base_mismatch():
     with pytest.raises(ValueError):
         geo(2, 1, 0, 0, base=2).union(geo(3, 1, 0, 0, base=3))
+    with pytest.raises(ValueError, match="session base mismatch: 2 vs 3"):
+        finite_set([1]).union(geo(2, 1, 0, 0), geo(3, 1, 0, 0, base=3))
+    # the operands with tails set the base, as with two operands
+    assert finite_set([1], base=3).union(geo(2, 1, 0, 0), empty_set(base=3)).base == 2
 
 
 def test_intersect_power_alignment():
