@@ -91,9 +91,9 @@ def _verdict_fields(engine: Engine, a, verdict) -> tuple[dict, int]:
     }, EXIT_UNKNOWN
 
 
-def _classify_one(
-    engine: Engine, text: str, args: argparse.Namespace, budget: Budget
-) -> tuple[dict, int]:
+def _classify_one(text: str, args: argparse.Namespace, budget: Budget) -> tuple[dict, int]:
+    """Classify one expression on a fresh engine, so no verdict depends on
+    what was classified before it."""
     try:
         a = parse_set(text, base=args.base)
     except ParseError as exc:
@@ -102,6 +102,7 @@ def _classify_one(
             "error": exc.message,
             "position": exc.position,
         }, EXIT_CONFIG
+    engine = Engine(SymbolicUniverse())
     t0 = time.perf_counter()
     verdict = engine.classify(a, budget)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -146,7 +147,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _config_error(str(exc))
 
-    engine = Engine(SymbolicUniverse())
     if args.batch:
         worst = EXIT_OK
         for line in sys.stdin:
@@ -154,7 +154,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             if not text:
                 continue
             try:
-                report, code = _classify_one(engine, text, args, budget)
+                report, code = _classify_one(text, args, budget)
             except ValueError as exc:  # e.g. a set too large to print
                 report, code = {"error": str(exc), "input": text}, EXIT_CONFIG
             print(json.dumps(report, sort_keys=True))
@@ -162,7 +162,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 worst = code
         return worst
 
-    report, code = _classify_one(engine, args.expr, args, budget)
+    report, code = _classify_one(args.expr, args, budget)
     if code == EXIT_CONFIG:
         exc = ParseError(report["error"], report["position"])
         return _parse_error(args.expr, exc)

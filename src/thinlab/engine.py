@@ -57,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .groups import GroupDescriptor, mask_elements, mask_translate
+from .groups import GroupDescriptor, check_mask, mask_elements, mask_translate
 from .ideals import FiniteSets, SizeAtMost
 from .symbolic import ShiftSpectrum, SymbolicSet
 
@@ -236,19 +236,18 @@ class SymbolicUniverse:
 
     def match_translate(self, x: SymbolicSet, y: SymbolicSet) -> int | None:
         """t with y == x.translate(t), if one exists."""
-        if (len(x.finite), len(x.tails), len(x.aps)) != (
-            len(y.finite), len(y.tails), len(y.aps)
+        if (len(x.finite), len(x.tails), len(x.residues)) != (
+            len(y.finite), len(y.tails), len(y.residues)
         ):
             return None
         if x.tails:
             t = min(s[1] for s in y.tails) - min(s[1] for s in x.tails)
         elif x.finite:
             t = y.finite[0] - x.finite[0]
-        elif x.aps:
+        elif x.residues:
             # x.translate(t) == y needs t to take x's first residue to one of y's
-            p = x.aps[0].modulus
-            r0 = x.aps[0].residue
-            for t in sorted({(s.residue - r0) % p for s in y.aps}):
+            p, r0 = x.period, x.residues[0]
+            for t in sorted({(r - r0) % p for r in y.residues}):
                 if x.translate(t) == y:
                     return t
             return None
@@ -280,8 +279,7 @@ class FiniteGroupUniverse:
     def validate(self, x: int) -> None:
         if not isinstance(x, int) or isinstance(x, bool):
             raise TypeError(f"expected a bitmask subset, got {type(x).__name__}")
-        if not 0 <= x < (1 << self.group.order):
-            raise ValueError(f"mask {x} out of range for {self.group.describe()}")
+        check_mask(self.group, x)
 
     def in_family(self, x: int) -> bool:
         return self.family.contains(x)
@@ -293,7 +291,7 @@ class FiniteGroupUniverse:
 
     def children(self, x: int) -> list[tuple[int, int]]:
         """(g, x & (g + x)) for every nonidentity g."""
-        return [(g, self.derive(x, g)) for g in self.group.nonidentity()]
+        return [(g, x & mask_translate(self.group, x, g)) for g in self.group.nonidentity()]
 
     def norm_key(self, x: int) -> int:
         return min(mask_translate(self.group, x, g) for g in self.group.elements())

@@ -121,11 +121,16 @@ def mask_of(group: GroupDescriptor, elements: "Iterator[int] | list[int] | set[i
     return mask
 
 
-def mask_elements(group: GroupDescriptor, mask: int) -> list[int]:
+def check_mask(group: GroupDescriptor, mask: int) -> None:
+    """Raise ValueError unless mask encodes a subset of the finite group."""
     if group.order is None:
         raise ValueError("bitmask subsets require a finite group")
     if not 0 <= mask < (1 << group.order):
         raise ValueError(f"mask {mask} out of range for {group.describe()}")
+
+
+def mask_elements(group: GroupDescriptor, mask: int) -> list[int]:
+    check_mask(group, mask)
     return [a for a in range(group.order) if mask >> a & 1]
 
 
@@ -137,12 +142,9 @@ def mask_translate(group: GroupDescriptor, mask: int, g: int) -> int:
     2^i bits that differ in bit i of their position, so the translate is
     one block swap per set bit.
     """
-    n = group.order
-    if n is None:
-        raise ValueError("bitmask subsets require a finite group")
-    if not 0 <= mask < (1 << n):
-        raise ValueError(f"mask {mask} out of range for {group.describe()}")
+    check_mask(group, mask)
     group._check(g)
+    n = group.order
     if group.kind == CYCLIC:
         return ((mask << g) | (mask >> (n - g))) & ((1 << n) - 1)
     for bit, low in _swap_masks(group.n):

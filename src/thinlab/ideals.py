@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from .groups import GroupDescriptor, mask_elements, mask_of, mask_translate
+from .groups import GroupDescriptor, check_mask, mask_elements, mask_of, mask_translate
 from .symbolic import SymbolicSet, finite_set, random_set
 
 
@@ -78,8 +78,7 @@ class SizeAtMost:
                 f"SizeAtMost tests bitmask subsets of {self.group.describe()}, "
                 f"got {type(a).__name__}"
             )
-        if not 0 <= a < (1 << self.group.order):
-            raise ValueError(f"mask {a} out of range for {self.group.describe()}")
+        check_mask(self.group, a)
         return a.bit_count() <= self.t
 
     def describe(self) -> str:

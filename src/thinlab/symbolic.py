@@ -10,8 +10,9 @@ coincides with equality of the denoted sets.
 
 Canonical form
 --------------
-* progressions are stored with their minimal common period p: one APTerm
-  per residue class of the (unique) maximal periodic subset;
+* the (unique) maximal periodic subset is stored as the pair (period,
+  residues): its minimal period p, or None when there is none, and its
+  residues mod p, sorted;
 * each geometric tail is stored as a tuple (cp, d, m0, q), the set
   {cp * b0**m + d : m >= m0, m = m0 mod q}, keyed by (reduced coefficient
   cp, offset d), where cp carries no factor of b0; per key the exponent
@@ -21,9 +22,10 @@ Canonical form
 * the finite part is disjoint from every term.
 
 Exponents stay symbolic: no operation builds b0**m0, so a tail with a huge
-start exponent costs what a small one does.  Literal GeoTerms exist only
-where terms enter (make_set) or leave (the `geos` view, which repr and JSON
-print as geo(b0**q, cp * b0**m0, d, 0)).
+start exponent costs what a small one does.  Literal GeoTerms and APTerms
+exist only where terms enter (make_set) or leave (the `geos` view, printed
+as geo(b0**q, cp * b0**m0, d, 0), and the `aps` view, one ap(p, r) per
+residue).
 """
 
 from __future__ import annotations
@@ -252,11 +254,11 @@ def _normalize(
     base: int,
     finite: Iterable[int],
     parts: Sequence[Tail],
-    aps: Iterable[APTerm],
+    periodic: Iterable[tuple[int, Sequence[int]]],
 ) -> SymbolicSet:
     """The canonical set of raw parts: tails need not be canonical, and
-    progressions may mix moduli."""
-    aps = list(aps)
+    the periodic parts (modulus, residues) may mix moduli."""
+    periodic = [(m, rs) for m, rs in periodic if rs]
     finite = set(finite)
 
     # Periodic part: the union of the input progressions is itself the
@@ -266,8 +268,8 @@ def _normalize(
     # that wide, so they are capped, while one shared modulus lifts nothing.
     p = None
     residues: list[int] = []
-    if aps:
-        mods = {t.modulus for t in aps}
+    if periodic:
+        mods = {m for m, _ in periodic}
         big = math.lcm(*mods)
         if len(mods) > 1 and big > PERIOD_ENUM_LIMIT:
             raise ValueError(
@@ -275,7 +277,7 @@ def _normalize(
                 "canonicalization limit %d" % (big, PERIOD_ENUM_LIMIT)
             )
         present = frozenset(
-            x for t in aps for x in range(t.residue, big, t.modulus)
+            x for m, rs in periodic for r in rs for x in range(r, big, m)
         )
         p = _minimal_shift_period(big, present)
         residues = sorted({r % p for r in present})
@@ -318,8 +320,9 @@ def _normalize(
         if not (p is not None and x % p in resset)
         and not any(_in_tail(x, t, base) for t in tails)
     ]
-    ap_terms = tuple(APTerm(p, r) for r in residues) if p is not None else ()
-    return SymbolicSet(tuple(sorted(kept)), tuple(sorted(tails)), ap_terms, base)
+    return SymbolicSet(
+        tuple(sorted(kept)), tuple(sorted(tails)), p, tuple(residues), base
+    )
 
 
 @dataclass(frozen=True)
@@ -330,7 +333,8 @@ class SymbolicSet:
 
     finite: tuple[int, ...] = ()
     tails: tuple[Tail, ...] = ()
-    aps: tuple[APTerm, ...] = ()
+    period: int | None = None
+    residues: tuple[int, ...] = ()
     base: int = DEFAULT_BASE
 
     # -- queries ---------------------------------------------------------
@@ -338,7 +342,7 @@ class SymbolicSet:
     def member(self, x: int) -> bool:
         if x in self.finite:
             return True
-        if any(t.member(x) for t in self.aps):
+        if self.period is not None and x % self.period in self.residues:
             return True
         return any(_in_tail(x, t, self.base) for t in self.tails)
 
@@ -346,15 +350,15 @@ class SymbolicSet:
         return self.member(x)
 
     def is_finite(self) -> bool:
-        return not self.tails and not self.aps
+        return not self.tails and self.period is None
 
     def is_empty(self) -> bool:
         return not self.finite and self.is_finite()
 
     @property
-    def period(self) -> int | None:
-        """Minimal period of the periodic part, if any."""
-        return self.aps[0].modulus if self.aps else None
+    def aps(self) -> tuple[APTerm, ...]:
+        """The periodic part as sorted terms ap(period, r): the printed view."""
+        return tuple([APTerm(self.period, r) for r in self.residues])
 
     @property
     def geos(self) -> tuple[GeoTerm, ...]:
@@ -370,9 +374,9 @@ class SymbolicSet:
         if lo > hi:
             return []
         out = {x for x in self.finite if lo <= x <= hi}
-        for t in self.aps:
-            first = lo + ((t.residue - lo) % t.modulus)
-            out.update(range(first, hi + 1, t.modulus))
+        p = self.period
+        for r in self.residues:
+            out.update(range(lo + (r - lo) % p, hi + 1, p))
         for tail in self.tails:
             c, d = tail[0], tail[1]
             reach = max(abs(lo - d), abs(hi - d))
@@ -386,15 +390,15 @@ class SymbolicSet:
 
     def translate(self, g: int) -> "SymbolicSet":
         """g + A, term by term: a shift keeps the canonical form, and its
-        order except among progressions.  Lists, not generators, keep peak RSS down."""
+        order except among residues.  Lists, not generators, keep peak RSS down."""
         if g == 0:
             return self
+        p = self.period
         return SymbolicSet(
             tuple([x + g for x in self.finite]),
             tuple([(cp, d + g, m0, q) for cp, d, m0, q in self.tails]),
-            tuple(sorted(
-                APTerm(t.modulus, (t.residue + g) % t.modulus) for t in self.aps
-            )),
+            p,
+            tuple(sorted([(r + g) % p for r in self.residues])),
             self.base,
         )
 
@@ -408,13 +412,12 @@ class SymbolicSet:
             raise ValueError("cannot scale a set by 0")
         if k == 1:
             return self
-        b0 = self.base
+        b0, p = self.base, self.period
         return make_set(
             (x * k for x in self.finite),
             (GeoTerm(b0**q, cp * k * b0 ** (m0 % q), d * k, m0 // q)
              for cp, d, m0, q in self.tails),
-            (APTerm(t.modulus * abs(k), (t.residue * k) % (t.modulus * abs(k)))
-             for t in self.aps),
+            (APTerm(p * abs(k), r * k % (p * abs(k))) for r in self.residues),
             base=b0,
         )
 
@@ -425,7 +428,7 @@ class SymbolicSet:
             self._common_base(*others),
             [x for s in sets for x in s.finite],
             [t for s in sets for t in s.tails],
-            [t for s in sets for t in s.aps],
+            [(s.period, s.residues) for s in sets],
         )
 
     def __or__(self, other: "SymbolicSet") -> "SymbolicSet":
@@ -438,10 +441,10 @@ class SymbolicSet:
         tails: list[Tail] = []
 
         for periodic, parts in ((self, other.tails), (other, self.tails)):
-            if not periodic.aps or not parts:
+            p = periodic.period
+            if p is None or not parts:
                 continue
-            p = periodic.aps[0].modulus
-            rset = frozenset(t.residue for t in periodic.aps)
+            rset = frozenset(periodic.residues)
             orbit = _powmod_orbit(b0, p)
             for part in parts:
                 found, vals = _geo_in_ap(part, p, rset, orbit, b0)
@@ -454,7 +457,12 @@ class SymbolicSet:
                 tails.extend(found)
                 fin.update(vals)
 
-        return _normalize(b0, fin, tails, _residue_meet(self.aps, other.aps))
+        meet = []
+        if self.period is not None and other.period is not None:
+            meet.append(_residue_meet(
+                self.period, self.residues, other.period, other.residues
+            ))
+        return _normalize(b0, fin, tails, meet)
 
     def __and__(self, other: "SymbolicSet") -> "SymbolicSet":
         return self.intersect(other)
@@ -484,9 +492,9 @@ class SymbolicSet:
         )
 
         classes: list[ClassShift] = []
-        if self.aps:
-            p = self.aps[0].modulus
-            rset = frozenset(t.residue for t in self.aps)
+        p = self.period
+        if p is not None:
+            rset = frozenset(self.residues)
             u, v = _powmod_orbit(self.base, p)
             deltas: set[int] = set()
             for r1 in rset:
@@ -524,7 +532,7 @@ class SymbolicSet:
                 {"b": t.base, "c": t.coeff, "d": t.offset, "n0": t.n0}
                 for t in self.geos
             ],
-            "ap": [{"c": t.modulus, "d": t.residue} for t in self.aps],
+            "ap": [{"c": self.period, "d": r} for r in self.residues],
         }
 
     def to_json(self) -> str:
@@ -556,11 +564,10 @@ class SymbolicSet:
                     vmax += 1
                 bound += 2 * (vmax + 1)
         bound += 2 * nf * len(self.tails)
-        if self.aps:
-            p = self.aps[0].modulus
-            u, _ = _powmod_orbit(self.base, p)
+        if self.period is not None:
+            u, _ = _powmod_orbit(self.base, self.period)
             bound += 2 * nf
-            bound += 2 * len(self.tails) * len(self.aps) * max(u, 1)
+            bound += 2 * len(self.tails) * len(self.residues) * max(u, 1)
         return bound
 
     def __repr__(self) -> str:
@@ -570,7 +577,7 @@ class SymbolicSet:
         bits.extend(
             f"geo({t.base},{t.coeff},{t.offset},{t.n0})" for t in self.geos
         )
-        bits.extend(f"ap({t.modulus},{t.residue})" for t in self.aps)
+        bits.extend(f"ap({self.period},{r})" for r in self.residues)
         return " | ".join(bits) if bits else "{}"
 
 
@@ -590,26 +597,20 @@ def _geo_in_ap(
 
 
 def _residue_meet(
-    aps1: tuple[APTerm, ...], aps2: tuple[APTerm, ...]
-) -> list[APTerm]:
-    """Intersect two periodic parts, each with one modulus.  By the CRT, r1
-    mod p1 meets r2 mod p2 exactly when r1 = r2 mod gcd(p1, p2), so each
-    residue is paired only with the other side's residues in its class:
-    the work is the size of the operands and of the result, and with one
-    shared modulus the result is the intersection of the residue sets."""
-    if not aps1 or not aps2:
-        return []
-    p1, p2 = aps1[0].modulus, aps2[0].modulus
+    p1: int, res1: Sequence[int], p2: int, res2: Sequence[int]
+) -> tuple[int, list[int]]:
+    """Intersect the residues res1 mod p1 with res2 mod p2, as residues
+    mod lcm(p1, p2).  By the CRT, r1 mod p1 meets r2 mod p2 exactly when
+    r1 = r2 mod gcd(p1, p2), so each residue is paired only with the other
+    side's residues in its class: the work is the size of the operands and
+    of the result, and with one shared modulus the result is the
+    intersection of the residue sets."""
     g = math.gcd(p1, p2)
     classes: dict[int, list[int]] = {}
-    for t in aps2:
-        classes.setdefault(t.residue % g, []).append(t.residue)
-    out = []
-    for t in aps1:
-        for r2 in classes.get(t.residue % g, ()):
-            r, m = _crt(t.residue, p1, r2, p2)
-            out.append(APTerm(m, r))
-    return out
+    for r2 in res2:
+        classes.setdefault(r2 % g, []).append(r2)
+    out = [_crt(r1, p1, r2, p2)[0] for r1 in res1 for r2 in classes.get(r1 % g, ())]
+    return p1 // g * p2, out
 
 
 def _geo_geo(
@@ -658,9 +659,6 @@ class ClassShift:
     child: SymbolicSet
     uniform: bool
 
-    def covers(self, g: int) -> bool:
-        return g != 0 and (g - self.residue) % self.modulus == 0
-
 
 @dataclass(frozen=True)
 class ShiftSpectrum:
@@ -669,13 +667,6 @@ class ShiftSpectrum:
 
     explicit: tuple[tuple[int, SymbolicSet], ...]
     classes: tuple[ClassShift, ...]
-
-    def covers(self, g: int) -> bool:
-        if g == 0:
-            return True
-        if any(g == s for s, _ in self.explicit):
-            return True
-        return any(c.covers(g) for c in self.classes)
 
 
 def make_set(
@@ -687,7 +678,10 @@ def make_set(
     """Normalize raw parts into a canonical SymbolicSet."""
     if base < 2:
         raise ValueError(f"session base must be >= 2, got {base}")
-    return _normalize(base, finite, [_geo_parts(t, base) for t in geos], aps)
+    return _normalize(
+        base, finite, [_geo_parts(t, base) for t in geos],
+        [(t.modulus, (t.residue,)) for t in aps],
+    )
 
 
 def finite_set(xs: Iterable[int], base: int = DEFAULT_BASE) -> SymbolicSet:

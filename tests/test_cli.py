@@ -181,6 +181,31 @@ def test_batch_all_ok_exit_zero(capsys, monkeypatch):
     assert code == 0
 
 
+def test_batch_lines_are_independent(capsys, monkeypatch):
+    """Each batch line is classified on a fresh engine: escalation stage 6
+    fed twice under a starved budget gives two identical unknown lines, and
+    every batch line equals that expression's own JSON output."""
+    stage6 = escalation_stage_text(6)
+    feed(monkeypatch, f"{stage6}\n{stage6}\n")
+    code, out, _ = run(capsys, "classify", "--batch", "--no-timing", "--max-nodes", "600")
+    assert code == 4
+    first, second = out.splitlines()
+    assert first == second and json.loads(first)["verdict"] == "unknown"
+
+    exprs = ["geo(2,1,0,0)", LEVEL2, "{4,5}", "ap(2,0)", "geo(2,1", stage6, LEVEL2]
+    feed(monkeypatch, "\n".join(exprs) + "\n")
+    _, out, _ = run(capsys, "classify", "--batch", "--no-timing")
+    batch = out.splitlines()
+    assert len(batch) == len(exprs)
+    for text, line in zip(exprs, batch):
+        _, own, _ = run(capsys, "classify", text, "--format", "json", "--no-timing")
+        if "error" in json.loads(line):
+            # a parse error prints as text outside --batch
+            assert json.loads(line)["input"] == text and own == ""
+        else:
+            assert line == own.rstrip("\n")
+
+
 # ---------------------------------------------------------------------------
 # tree
 # ---------------------------------------------------------------------------

@@ -174,6 +174,14 @@ def test_canonical_form_invariants(rng):
         assert list(a.finite) == sorted(a.finite)
         assert list(a.geos) == sorted(a.geos)
         assert list(a.aps) == sorted(a.aps)
+        # the stored periodic part: minimal period, sorted reduced residues,
+        # and the aps view spelled from it
+        assert all(0 <= r < a.period for r in a.residues)
+        assert all(r < s for r, s in zip(a.residues, a.residues[1:]))
+        assert (a.period is None) == (a.residues == ())
+        if a.period is not None:
+            assert _minimal_shift_period(a.period, frozenset(a.residues)) == a.period
+        assert a.aps == tuple(APTerm(a.period, r) for r in a.residues)
         # idempotence
         assert make_set(a.finite, a.geos, a.aps, base=a.base) == a
 
@@ -433,10 +441,14 @@ def test_spectrum_completeness_exhaustive(rng):
     for _ in range(100):
         a = random_set(rng)
         spec = a.shift_spectrum()
+        explicit = {s for s, _ in spec.explicit}
         bound = a.finite_intersection_bound(1024)
         for g in range(1, 1025):
             for s in (g, -g):
-                if spec.covers(s):
+                # a shift is covered when it is explicit or lies in a class
+                if s in explicit or any(
+                    (s - c.residue) % c.modulus == 0 for c in spec.classes
+                ):
                     continue
                 child = a & a.translate(s)
                 assert child.is_finite(), (a, s)
@@ -572,17 +584,18 @@ def test_residue_meet_matches_pairwise_crt():
     repeats, that pairing every residue with every other through the CRT
     gives."""
     parts = [
-        tuple(APTerm(m, r) for r in rs)
+        (m, rs)
         for m in range(1, 7)
         for k in range(1, m + 1)
         for rs in itertools.combinations(range(m), k)
     ]
-    for a in parts:
-        for b in parts:
+    for p1, a in parts:
+        for p2, b in parts:
             pairwise = [
-                APTerm(sol[1], sol[0])
-                for t1 in a
-                for t2 in b
-                if (sol := _crt(t1.residue, t1.modulus, t2.residue, t2.modulus))
+                sol
+                for r1 in a
+                for r2 in b
+                if (sol := _crt(r1, p1, r2, p2))
             ]
-            assert sorted(_residue_meet(a, b)) == sorted(pairwise)
+            m, residues = _residue_meet(p1, a, p2, b)
+            assert sorted((r, m) for r in residues) == sorted(pairwise)
