@@ -163,11 +163,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return worst
 
     report, code = _classify_one(args.expr, args, budget)
-    if code == EXIT_CONFIG:
-        exc = ParseError(report["error"], report["position"])
-        return _parse_error(args.expr, exc)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
+    elif code == EXIT_CONFIG:
+        return _parse_error(args.expr, ParseError(report["error"], report["position"]))
     else:
         _print_text_report(report)
     return code

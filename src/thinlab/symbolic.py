@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 DEFAULT_BASE = 2
 
@@ -299,10 +299,11 @@ def _normalize(
 
     tails: list[Tail] = []
     pool: set[int] = set(finite)
+    partners = _partner_index(parts)
     for (cp, d) in sorted(fams):
         ap_list, singles = fams[(cp, d)]
         values = list(finite)
-        for part in parts:
+        for part in partners(cp, d):
             if part[:2] != (cp, d):
                 values += _geo_geo((cp, d, 0, 1), part, base)[1]
         for v in values:
@@ -451,8 +452,9 @@ class SymbolicSet:
                 tails.extend(found)
                 fin.update(vals)
 
+        partners = _partner_index(other.tails)
         for part1 in self.tails:
-            for part2 in other.tails:
+            for part2 in partners(part1[0], part1[1]):
                 found, vals = _geo_geo(part1, part2, b0)
                 tails.extend(found)
                 fin.update(vals)
@@ -613,6 +615,33 @@ def _residue_meet(
     return p1 // g * p2, out
 
 
+def _partner_index(tails: Sequence[Tail]) -> Callable[[int, int], list[Tail]]:
+    """Index tails once, and return partners(cp, d): the indexed tails
+    that may share a value with a tail of key (cp, d).
+
+    A common value cp * b0**m + d = cp2 * b0**k + d2 makes gcd(cp, cp2)
+    divide d2 - d.  Tails are bucketed by cp, then by d2 mod cp2: with the
+    same cp the partners are the one bucket of d mod cp, and a bucket of
+    another cp2 is kept whole when the gcd divides its residue minus d,
+    as the gcd then divides d2 - d for every tail in it.
+    """
+    by_cp: dict[int, dict[int, list[Tail]]] = {}
+    for tail in tails:
+        by_cp.setdefault(tail[0], {}).setdefault(tail[1] % tail[0], []).append(tail)
+
+    def partners(cp: int, d: int) -> list[Tail]:
+        out = list(by_cp.get(cp, {}).get(d % cp, ()))
+        for cp2, buckets in by_cp.items():
+            if cp2 != cp:
+                g = math.gcd(cp, cp2)
+                for r, bucket in buckets.items():
+                    if (r - d) % g == 0:
+                        out.extend(bucket)
+        return out
+
+    return partners
+
+
 def _geo_geo(
     part1: Tail, part2: Tail, b0: int
 ) -> tuple[list[Tail], list[int]]:
@@ -622,7 +651,10 @@ def _geo_geo(
     {s + j*a : a >= 0}, by the CRT above the larger start.  Distinct keys
     meet finitely often: writing the difference of offsets as D, any common
     value has min(m, k) bounded by the b0-adic valuation of D, so it is one
-    of either tail's values at an exponent up to that bound.
+    of either tail's values at an exponent up to that bound.  A common
+    value cp1 * b0**m + d1 = cp2 * b0**k + d2 also makes D a multiple of
+    gcd(cp1, cp2), so a pair that fails that test meets nowhere;
+    _partner_index pairs only the tails that pass it.
     """
     cp1, d1, s1, j1 = part1
     cp2, d2, s2, j2 = part2

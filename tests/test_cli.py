@@ -96,6 +96,11 @@ def test_classify_parse_error(capsys):
     assert code == 2 and out == ""
     assert "parse error:" in err
     assert "^" in err
+    code, out, err = run(capsys, "classify", "geo(2,1", "--format", "json")
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "error": "expected ',', found 'end of input'", "input": "geo(2,1", "position": 7,
+    }
 
 
 def test_classify_config_error_budget(capsys):
@@ -199,11 +204,7 @@ def test_batch_lines_are_independent(capsys, monkeypatch):
     assert len(batch) == len(exprs)
     for text, line in zip(exprs, batch):
         _, own, _ = run(capsys, "classify", text, "--format", "json", "--no-timing")
-        if "error" in json.loads(line):
-            # a parse error prints as text outside --batch
-            assert json.loads(line)["input"] == text and own == ""
-        else:
-            assert line == own.rstrip("\n")
+        assert line == own.rstrip("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 import functools
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from thinlab.bounds import escalate
 from thinlab.dsl import ParseError, caret_diagram, format_set, parse_expr, parse_set
 from thinlab.symbolic import SymbolicSet, ap, empty_set, finite_set, geo, random_set
 
@@ -190,3 +196,41 @@ def test_distant_start_of_one_key_parses_fast(start):
     a = parse_set(f"geo(2,1,0,0) | geo(2,1,0,{start})")
     assert time.process_time() - t0 < 0.5
     assert a.tails == ((1, 0, 0, 1),)
+
+
+_PARSE_ERROR_RUN = """
+import json, sys
+from thinlab.dsl import ParseError, parse_set
+try:
+    parse_set(sys.argv[1])
+except ParseError as exc:
+    print(json.dumps([exc.message, exc.position]))
+"""
+
+
+@pytest.mark.parametrize("suffix, message, offset", [
+    (" | ap(2000,0) | ap(999,0)",
+     "progression moduli with lcm 1998000 exceed the canonicalization limit 1000000", 14),
+    (" | (1 +", "expected an expression, found 'end of input'", 7),
+])
+def test_failing_union_chain_reports_in_seconds(suffix, message, offset):
+    """A '|' chain that cannot be canonicalized at once is folded left to
+    right, and each fold step pairs only the tails that can meet, so the
+    256 tails of escalation stage 9 fold in well under the timeout.  The
+    error and its caret are those of the fold: the second '|' for the lcm
+    error, the end of input for the syntax error."""
+    stage = geo(2, 1, 0, 0)
+    for _ in range(8):
+        stage = escalate(stage)
+    text = format_set(stage)
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSE_ERROR_RUN, text + suffix],
+        env=env, capture_output=True, text=True, timeout=10, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [message, len(text) + offset]

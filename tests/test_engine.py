@@ -180,8 +180,9 @@ def test_escalation_chain_levels():
     a = A
     for lvl in range(1, 9):
         assert eng.classify(a) == ExactLevel(lvl)
-        # tree_rank takes tens of seconds from level 7 on
-        if lvl <= 6:
+        # tree_rank, sharing the engine's rank memo, takes about 1.5 s at
+        # level 7 and 8 s at level 8
+        if lvl <= 7:
             assert eng.tree_rank(a) == lvl
         a = escalate(a, eng)
 

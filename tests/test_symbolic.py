@@ -17,7 +17,18 @@ from thinlab.symbolic import (
     make_set,
     random_set,
 )
-from thinlab.symbolic import _crt, _minimal_shift_period, _orbit_split, _residue_meet
+from thinlab.bounds import escalate
+from thinlab.symbolic import (
+    _crt,
+    _geo_geo,
+    _geo_in_ap,
+    _minimal_shift_period,
+    _normalize,
+    _orbit_split,
+    _partner_index,
+    _powmod_orbit,
+    _residue_meet,
+)
 
 # ---------------------------------------------------------------------------
 # Independent brute-force evaluation of raw term lists.  All derived
@@ -398,6 +409,115 @@ def test_intersect_windows(rng):
             wa, wb = brute_of(a, lo, hi), brute_of(b, lo, hi)
             assert set((a & b).window(lo, hi)) == wa & wb
             assert set((a | b).window(lo, hi)) == wa | wb
+
+
+def _tail_values(tail, b0: int, bound: int) -> set[int]:
+    """The values cp * b0**m + d of a tail (cp, d, m0, q) with
+    |cp * b0**m| <= bound."""
+    cp, d, m, q = tail
+    out = set()
+    while abs(cp) * b0**m <= bound:
+        out.add(cp * b0**m + d)
+        m += q
+    return out
+
+
+def test_partner_index_keeps_every_pair_that_meets():
+    """Tails over bases 2, 3 and 5 with coefficients of both signs and
+    offsets up to 10**4, half of them built to meet an earlier tail.  The
+    partners of a key are exactly the tails whose offset differs from its
+    own by a multiple of the gcd of the coefficients, and every tail that
+    a window search finds meeting the key is among them."""
+    rng = random.Random(1011)
+    met_same = met_cross = 0
+    for b0 in (2, 3, 5):
+        for _ in range(40):
+            tails = []
+            while len(tails) < 16:
+                cp = rng.choice([-1, 1]) * rng.randrange(1, 60)
+                if cp % b0 == 0:
+                    continue
+                m0, q = rng.randrange(4), rng.randrange(1, 4)
+                if tails and rng.random() < 0.5:
+                    # a tail through a value of an earlier tail
+                    cp1, d1, s1, j1 = rng.choice(tails)
+                    if rng.random() < 0.4:
+                        cp = cp1
+                    k = m0 + q * rng.randrange(3)
+                    d = cp1 * b0 ** (s1 + j1 * rng.randrange(3)) + d1 - cp * b0**k
+                else:
+                    d = rng.randint(-10**4, 10**4)
+                if abs(d) <= 10**4:
+                    tails.append((cp, d, m0, q))
+            partners = _partner_index(tuple(tails))
+            values = [_tail_values(t, b0, 10**9) for t in tails]
+            for t1, v1 in zip(tails, values):
+                cp1, d1 = t1[:2]
+                kept = partners(cp1, d1)
+                assert sorted(kept) == sorted(
+                    t2 for t2 in tails if (t2[1] - d1) % math.gcd(cp1, t2[0]) == 0
+                )
+                for t2, v2 in zip(tails, values):
+                    if t2[:2] != t1[:2] and v1 & v2:
+                        assert t2 in kept
+                        if t2[0] == cp1:
+                            met_same += cp1 < 0
+                        else:
+                            met_cross += 1
+    assert met_same > 50 and met_cross > 200
+
+
+def _reference_intersect(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
+    """a & b with no pair skipped: every tail of a meets every tail of b
+    through _geo_geo, and every cross-key coincidence among the resulting
+    tails is handed to _normalize as a finite value, so the partner index
+    inside _normalize has nothing left to find."""
+    b0 = a._common_base(b)
+    fin = {x for x in a.finite if b.member(x)} | {x for x in b.finite if a.member(x)}
+    tails = []
+    for periodic, parts in ((a, b.tails), (b, a.tails)):
+        p = periodic.period
+        if p is not None:
+            for part in parts:
+                found, vals = _geo_in_ap(
+                    part, p, frozenset(periodic.residues), _powmod_orbit(b0, p), b0
+                )
+                tails += found
+                fin.update(vals)
+    for part1 in a.tails:
+        for part2 in b.tails:
+            found, vals = _geo_geo(part1, part2, b0)
+            tails += found
+            fin.update(vals)
+    for cp, d, _, _ in tails:
+        for part in tails:
+            if part[:2] != (cp, d):
+                fin.update(_geo_geo((cp, d, 0, 1), part, b0)[1])
+    meet = []
+    if a.period is not None and b.period is not None:
+        meet.append(_residue_meet(a.period, a.residues, b.period, b.residues))
+    return _normalize(b0, fin, tails, meet)
+
+
+def test_intersect_matches_all_pairs_reference(rng):
+    """Pairing only the tails that can meet changes no intersection: random
+    sets over bases 2 and 3 with up to 6 tails, each against another random
+    set and against a translate of itself, and escalation stages 1-5
+    against their translate by every explicit spectrum shift."""
+    for base in (2, 3):
+        for max_geo in (2, 4, 6):
+            for _ in range(60):
+                a = random_set(rng, base=base, max_geo=max_geo)
+                for b in (
+                    random_set(rng, base=base, max_geo=max_geo),
+                    a.translate(rng.randint(-20, 20)),
+                ):
+                    assert a & b == _reference_intersect(a, b)
+    stage = geo(2, 1, 0, 0)
+    for _ in range(5):
+        for g, child in stage.shift_spectrum().explicit:
+            assert child == _reference_intersect(stage, stage.translate(g))
+        stage = escalate(stage)
 
 
 # ---------------------------------------------------------------------------
