@@ -5,9 +5,8 @@ against the classification engine.
 """
 
 import argparse
-import os
 
-from thinlab.cli import _parse_group
+from thinlab.cli import _parse_group, _write_tables
 from thinlab.ideals import SizeAtMost
 from thinlab.oracle import build_table, cross_check
 
@@ -29,7 +28,6 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    os.makedirs(args.out, exist_ok=True)
     names = [s.strip() for s in args.groups.split(",") if s.strip()]
     bounds = [int(s) for s in args.t.split(",")]
     failures = 0
@@ -38,11 +36,7 @@ def main() -> int:
         for t in bounds:
             table = build_table(group, SizeAtMost(group, t))
             report = cross_check(table)
-            stem = os.path.join(args.out, f"oracle_{name}_t{t}")
-            with open(stem + ".csv", "w") as fh:
-                fh.write(table.to_csv())
-            with open(stem + ".json", "w") as fh:
-                fh.write(table.to_json() + "\n")
+            _write_tables(table, args.out, name, t)
             bottoms = sum(1 for v in table.levels if v < 0)
             print(
                 f"{name} t={t}: max level {table.max_level()}, "

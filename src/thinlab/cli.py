@@ -54,9 +54,9 @@ def _budget(args: argparse.Namespace) -> Budget:
     return Budget(max_depth=args.max_depth, max_nodes=nodes)
 
 
-def _parse_error(text: str, exc: ParseError) -> int:
-    print(f"parse error: {exc.message}", file=sys.stderr)
-    print(caret_diagram(text, exc.position), file=sys.stderr)
+def _parse_error(text: str, message: str, position: int) -> int:
+    print(f"parse error: {message}", file=sys.stderr)
+    print(caret_diagram(text, position), file=sys.stderr)
     return EXIT_CONFIG
 
 
@@ -92,22 +92,21 @@ def _verdict_fields(engine: Engine, a, verdict) -> tuple[dict, int]:
 
 
 def _classify_one(text: str, args: argparse.Namespace, budget: Budget) -> tuple[dict, int]:
-    """Classify one expression on a fresh engine, so no verdict depends on
-    what was classified before it."""
+    """Parse, classify on a fresh engine (so no verdict depends on what came
+    before), replay and print one expression; an error on the way becomes
+    the report {"error", "input"}, plus "position" for a parse error."""
     try:
         a = parse_set(text, base=args.base)
+        engine = Engine(SymbolicUniverse())
+        t0 = time.perf_counter()
+        verdict = engine.classify(a, budget)
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        report = {"input": text, "set": format_set(a)}
+        fields, code = _verdict_fields(engine, a, verdict)
     except ParseError as exc:
-        return {
-            "input": text,
-            "error": exc.message,
-            "position": exc.position,
-        }, EXIT_CONFIG
-    engine = Engine(SymbolicUniverse())
-    t0 = time.perf_counter()
-    verdict = engine.classify(a, budget)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    report = {"input": text, "set": format_set(a)}
-    fields, code = _verdict_fields(engine, a, verdict)
+        return {"error": exc.message, "input": text, "position": exc.position}, EXIT_CONFIG
+    except ValueError as exc:  # e.g. a set too large to print
+        return {"error": str(exc), "input": text}, EXIT_CONFIG
     report.update(fields)
     if not args.no_timing:
         report["time_ms"] = round(elapsed_ms, 3)
@@ -115,14 +114,18 @@ def _classify_one(text: str, args: argparse.Namespace, budget: Budget) -> tuple[
 
 
 def _print_text_report(report: dict) -> None:
+    """A verdict on stdout, an error on stderr."""
+    if "error" in report:
+        if "position" in report:
+            _parse_error(report["input"], report["error"], report["position"])
+        else:
+            _config_error(report["error"])
+        return
+
     def emit(key, value):
         print(f"{key}: {value}")
 
     emit("input", report["input"])
-    if "error" in report:
-        emit("error", report["error"])
-        print(caret_diagram(report["input"], report["position"]))
-        return
     emit("set", report["set"])
     emit("verdict", report["verdict"])
     if report["verdict"] == "exact_level":
@@ -142,34 +145,23 @@ def _print_text_report(report: dict) -> None:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        budget = _budget(args)
-    except ValueError as exc:
-        return _config_error(str(exc))
-
+    """One report per expression, as JSON under --batch or --format json,
+    else as text; the exit code is the first non-zero one."""
+    budget = _budget(args)
     if args.batch:
-        worst = EXIT_OK
-        for line in sys.stdin:
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                report, code = _classify_one(text, args, budget)
-            except ValueError as exc:  # e.g. a set too large to print
-                report, code = {"error": str(exc), "input": text}, EXIT_CONFIG
-            print(json.dumps(report, sort_keys=True))
-            if worst == EXIT_OK and code != EXIT_OK:
-                worst = code
-        return worst
-
-    report, code = _classify_one(args.expr, args, budget)
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True))
-    elif code == EXIT_CONFIG:
-        return _parse_error(args.expr, ParseError(report["error"], report["position"]))
+        texts = (text for text in map(str.strip, sys.stdin) if text)
     else:
-        _print_text_report(report)
-    return code
+        texts = [args.expr]
+    worst = EXIT_OK
+    for text in texts:
+        report, code = _classify_one(text, args, budget)
+        if args.batch or args.format == "json":
+            print(json.dumps(report, sort_keys=True))
+        else:
+            _print_text_report(report)
+        if worst == EXIT_OK:
+            worst = code
+    return worst
 
 
 # -- tree ---------------------------------------------------------------
@@ -206,7 +198,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
     try:
         a = parse_set(args.expr, base=args.base)
     except ParseError as exc:
-        return _parse_error(args.expr, exc)
+        return _parse_error(args.expr, exc.message, exc.position)
     engine = Engine(SymbolicUniverse())
     dump = engine.tree_dump(a, depth=args.depth)
     if args.format == "json":
@@ -233,23 +225,22 @@ def _parse_group(name: str) -> GroupDescriptor:
     raise ValueError(f"unknown group {name!r}: expected zN or bD")
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        group = _parse_group(args.group)
-        family = SizeAtMost(group, args.t)
-        table = build_table(group, family)
-        budget = _budget(args)
-    except ValueError as exc:
-        return _config_error(str(exc))
-
-    stem = f"oracle_{args.group.lower()}_t{args.t}"
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, stem + ".csv")
-    json_path = os.path.join(args.out, stem + ".json")
-    with open(csv_path, "w") as fh:
+def _write_tables(table, out: str, name: str, t: int) -> tuple[str, str]:
+    """Write oracle_<name>_t<t>.csv and .json into out; return both paths."""
+    os.makedirs(out, exist_ok=True)
+    stem = os.path.join(out, f"oracle_{name.lower()}_t{t}")
+    with open(stem + ".csv", "w") as fh:
         fh.write(table.to_csv())
-    with open(json_path, "w") as fh:
+    with open(stem + ".json", "w") as fh:
         fh.write(table.to_json() + "\n")
+    return stem + ".csv", stem + ".json"
+
+
+def cmd_oracle(args: argparse.Namespace) -> int:
+    group = _parse_group(args.group)
+    table = build_table(group, SizeAtMost(group, args.t))
+    budget = _budget(args)
+    csv_path, json_path = _write_tables(table, args.out, args.group, args.t)
 
     rows = 1 << group.order
     print(f"group: {group.describe()}")
@@ -269,11 +260,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    try:
-        budget = _budget(args)
-    except ValueError as exc:
-        return _config_error(str(exc))
-    return run_selftest(seed=args.seed, trials=args.trials, budget=budget)
+    return run_selftest(seed=args.seed, trials=args.trials, budget=_budget(args))
 
 
 # -- argument plumbing ------------------------------------------------------

@@ -22,6 +22,7 @@ sets.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .symbolic import APTerm, GeoTerm, SymbolicSet, make_set
@@ -151,35 +152,27 @@ class _Parser:
         left = self.prod()
         while self.peek().kind == "+":
             op = self.take()
-            right = self.prod()
-            if isinstance(left, int) and isinstance(right, int):
-                left = left + right
-            elif isinstance(left, SymbolicSet) and isinstance(right, int):
-                left = left.translate(right)
-            elif isinstance(left, int) and isinstance(right, SymbolicSet):
-                left = right.translate(left)
-            else:
-                raise ParseError("'+' cannot combine two sets", op.pos)
+            left = self._mixed(left, self.prod(), op, operator.add, SymbolicSet.translate)
         return left
 
     def prod(self):
         left = self.unary()
         while self.peek().kind == "*":
             op = self.take()
-            right = self.unary()
-            if isinstance(left, int) and isinstance(right, int):
-                left = left * right
-            elif isinstance(left, int) and isinstance(right, SymbolicSet):
-                left = self._scale(right, left, op)
-            elif isinstance(left, SymbolicSet) and isinstance(right, int):
-                left = self._scale(left, right, op)
-            else:
-                raise ParseError("'*' cannot combine two sets", op.pos)
+            left = self._mixed(left, self.unary(), op, operator.mul, SymbolicSet.scale)
         return left
 
-    def _scale(self, a: SymbolicSet, k: int, op: _Token) -> SymbolicSet:
+    def _mixed(self, left, right, op: _Token, on_ints, on_set):
+        """Two integers, or a set and an integer in either order; a
+        ValueError of on_set is reported at the operator."""
+        if isinstance(left, int) and isinstance(right, int):
+            return on_ints(left, right)
+        if isinstance(left, int):
+            left, right = right, left
+        if not isinstance(right, int):
+            raise ParseError(f"'{op.kind}' cannot combine two sets", op.pos)
         try:
-            return a.scale(k)
+            return on_set(left, right)
         except ValueError as exc:
             raise ParseError(str(exc), op.pos) from None
 

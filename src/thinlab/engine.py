@@ -497,12 +497,12 @@ class Engine:
         return TreeDump(build(x, (), depth))
 
     def replay_witness(self, x, witness: CycleWitness) -> bool:
-        """Recompute the derived sets named by a witness and confirm the
-        claimed repetition."""
-        self.universe.validate(x)
-        frame = self.derived_set(x, witness.path)
+        """Recompute the derived sets named by a witness, walking its path
+        once, and confirm the claimed repetition."""
+        i = witness.ancestor_index
+        ancestor = self.derived_set(x, witness.path[:i])
+        frame = self.derived_set(ancestor, witness.path[i:])
         child = self.universe.derive(frame, witness.repeat_shift)
-        ancestor = self.derived_set(x, witness.path[: witness.ancestor_index])
         if self.universe.in_family(ancestor):
             return False
         if isinstance(self.universe, SymbolicUniverse):

@@ -109,6 +109,49 @@ def test_classify_config_error_budget(capsys):
     assert "error:" in err
 
 
+def test_classify_unprintable_set(capsys):
+    """A set whose integers exceed the str-digit limit is an error of its
+    expression: JSON on stdout under --format json, `error:` on stderr in
+    text mode."""
+    code, out, err = run(capsys, "classify", "geo(2,1,0,100000)", "--format", "json",
+                         "--no-timing")
+    assert code == 2 and err == ""
+    report = json.loads(out)
+    assert set(report) == {"error", "input"} and "digits" in report["error"]
+    assert report["input"] == "geo(2,1,0,100000)"
+    code, out, err = run(capsys, "classify", "geo(2,1,0,100000)", "--no-timing")
+    assert code == 2 and out == ""
+    assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+
+def test_classify_bad_base(capsys):
+    """A base the parser rejects: `error:` on stderr in text mode, the
+    JSON object in JSON mode."""
+    message = "session base must be >= 2, got 1"
+    code, out, err = run(capsys, "classify", "{1}", "--base", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, "classify", "{1}", "--base", "1", "--format", "json")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"error": message, "input": "{1}"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{1}"],
+    ["classify", "{1}", "--format", "json"],
+    ["classify", "--batch"],
+    ["oracle", "--group", "z3"],
+    ["selftest", "--trials", "5"],
+])
+def test_bad_env_budget_is_a_config_error(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("THINLAB_BUDGET_NODES", "x")
+    feed(monkeypatch, "{1}\n")
+    if argv[0] == "oracle":
+        argv = argv + ["--out", str(tmp_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: invalid literal for int() with base 10: 'x'\n"
+
+
 def test_classify_requires_expression(capsys):
     with pytest.raises(SystemExit) as info:
         main(["classify"])
@@ -197,7 +240,10 @@ def test_batch_lines_are_independent(capsys, monkeypatch):
     first, second = out.splitlines()
     assert first == second and json.loads(first)["verdict"] == "unknown"
 
-    exprs = ["geo(2,1,0,0)", LEVEL2, "{4,5}", "ap(2,0)", "geo(2,1", stage6, LEVEL2]
+    exprs = [
+        "geo(2,1,0,0)", LEVEL2, "{4,5}", "ap(2,0)", "geo(2,1", stage6, LEVEL2,
+        "geo(2,1,0,15000)",
+    ]
     feed(monkeypatch, "\n".join(exprs) + "\n")
     _, out, _ = run(capsys, "classify", "--batch", "--no-timing")
     batch = out.splitlines()

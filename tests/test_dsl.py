@@ -131,6 +131,14 @@ def test_error_positions_and_messages():
     assert (e.position, e.message) == (4, "unexpected trailing input 'x'")
     e = err("")
     assert e.position == 0
+    e = err("{1}*{2}")
+    assert (e.position, e.message) == (3, "'*' cannot combine two sets")
+    e = err("{1}+{2}")
+    assert (e.position, e.message) == (3, "'+' cannot combine two sets")
+    e = err("-{1}")
+    assert (e.position, e.message) == (0, "unary '-' needs an integer")
+    e = err("{1} $ {2}")
+    assert (e.position, e.message) == (4, "unexpected character '$'")
 
 
 def test_union_chain_errors_are_the_folds():

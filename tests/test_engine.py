@@ -171,6 +171,43 @@ def test_replay_rejects_tampered_witness():
     assert not eng.replay_witness(ap(2, 0), CycleWitness(w.path, w.ancestor_index, 7, w.translation))
     # witness against a set whose ancestor is already in the family
     assert not eng.replay_witness(finite_set([0]), CycleWitness((), 0, 2, 0))
+    # a zero shift raises even where the ancestor is already in the family
+    for w in (CycleWitness((), 0, 0, 0), CycleWitness((1, 0), 1, 2, 0)):
+        with pytest.raises(ValueError, match="nonzero"):
+            eng.replay_witness(finite_set([0]), w)
+
+
+def test_replay_matches_the_two_walk_reference(rng):
+    """replay_witness walks the path once; the reference derives the frame
+    and the ancestor each from the root.  They agree on the witnesses
+    classify emits, nonempty paths among them, on those witnesses with the
+    fixed point unrolled further (so the ancestor sits inside the path),
+    and on random witnesses."""
+    eng = Engine()
+
+    def reference(x, w):
+        child = eng.derived_set(x, w.path + (w.repeat_shift,))
+        ancestor = eng.derived_set(x, w.path[: w.ancestor_index])
+        return not eng.universe.in_family(ancestor) and child == ancestor.translate(w.translation)
+
+    emitted = 0
+    for _ in range(150):
+        x = random_set(rng, max_ap=2)
+        v = eng.classify(x)
+        if isinstance(v, NotInThinCompletion) and v.witness.path:
+            w = v.witness
+            k = rng.randrange(1, 3)
+            unrolled = CycleWitness(w.path + (w.repeat_shift,) * k,
+                                    w.ancestor_index + rng.randrange(k + 1),
+                                    w.repeat_shift, w.translation)
+            for w in (w, unrolled):
+                assert eng.replay_witness(x, w) and reference(x, w)
+            emitted += 1
+        path = tuple(rng.choice([-3, -2, -1, 1, 2, 4, 6]) for _ in range(rng.randrange(4)))
+        w = CycleWitness(path, rng.randrange(len(path) + 1), rng.choice([1, 2, 4]),
+                         rng.choice([-2, 0, 2]))
+        assert eng.replay_witness(x, w) == reference(x, w)
+    assert emitted >= 20
 
 
 def test_escalation_chain_levels():
@@ -467,6 +504,80 @@ def test_witness_validation():
     with pytest.raises(ValueError):
         CycleWitness((2,), 2, 2, 0)
     CycleWitness((2,), 1, 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# Universe edges: the checks at the API boundary
+# ---------------------------------------------------------------------------
+
+
+def test_symbolic_universe_rejects_bad_sets_and_the_zero_shift():
+    eng = Engine()
+    for bad in (3, 0b101, "geo(2,1,0,0)"):
+        with pytest.raises(TypeError, match="expected a SymbolicSet"):
+            eng.classify(bad)
+    with pytest.raises(ValueError, match="derivation shifts must be nonzero"):
+        eng.derived_set(A, [0])
+
+
+def test_finite_group_universe_constructor_errors():
+    z5 = GroupDescriptor.cyclic(5)
+    with pytest.raises(ValueError, match="requires a finite group"):
+        FiniteGroupUniverse(GroupDescriptor.integers(), SizeAtMost(z5, 1))
+    z32 = GroupDescriptor.cyclic(32)
+    with pytest.raises(ValueError, match="group order 32 exceeds supported maximum 24"):
+        FiniteGroupUniverse(z32, SizeAtMost(z32, 1))
+    with pytest.raises(ValueError, match="different group"):
+        FiniteGroupUniverse(z5, SizeAtMost(GroupDescriptor.cyclic(3), 1))
+
+
+def test_finite_group_universe_rejects_bad_sets_and_the_identity_shift():
+    z5 = GroupDescriptor.cyclic(5)
+    eng = Engine(FiniteGroupUniverse(z5, SizeAtMost(z5, 1)))
+    for bad in (True, A):
+        with pytest.raises(TypeError, match="expected a bitmask subset"):
+            eng.classify(bad)
+    with pytest.raises(ValueError, match="nonidentity"):
+        eng.derived_set(0b10111, [0])
+    assert eng.derived_set(0b10111, [1]) == 0b00111  # {0,1,2,4} & {1,2,3,0}
+
+
+@pytest.mark.parametrize(
+    "group, top",
+    [(GroupDescriptor.cyclic(5), 3), (GroupDescriptor.cyclic(6), 2),
+     (GroupDescriptor.boolean_power(2), 0)],
+    ids=["Z/5", "Z/6", "(Z/2)^2"],
+)
+def test_finite_group_tree_dump_labels_and_ranks(group, top):
+    """Every dumped node is the derived set along its path, described by
+    its elements, and a node with a rank has the rank tree_rank gives it.
+    Ranks here stay below the dump depth, so the root of a well-founded
+    tree always gets its rank."""
+    universe = FiniteGroupUniverse(group, SizeAtMost(group, 1))
+    eng = Engine(universe)
+    full = (1 << group.order) - 1
+    ranks = set()
+    for x in range(full + 1):
+        dump = eng.tree_dump(x, depth=4)
+
+        def walk(node):
+            y = eng.derived_set(x, node.path)
+            elements = [a for a in range(group.order) if y >> a & 1]
+            assert node.label == "{" + ",".join(map(str, elements)) + "}"
+            assert node.label == universe.describe(y)
+            if node.rank is not None:
+                assert node.rank == eng.tree_rank(y)
+            for shift, child in node.children:
+                assert child.path == node.path + (shift,)
+                walk(child)
+
+        walk(dump.root)
+        rank = eng.tree_rank(x)
+        assert dump.root.rank == (None if rank is NOT_WELL_FOUNDED else rank)
+        ranks.add(dump.root.rank)
+    assert ranks == {None, *range(top + 1)}
+    root = eng.tree_dump(full, depth=2).root
+    assert root.label == universe.describe(full) and len(root.children) == group.order - 1
 
 
 @pytest.mark.parametrize(
