@@ -29,6 +29,7 @@ from .engine import (
     ExactLevel,
     NotInThinCompletion,
     SymbolicUniverse,
+    TreeDump,
     TreeNode,
     Unknown,
 )
@@ -91,11 +92,23 @@ def _verdict_fields(engine: Engine, a, verdict) -> tuple[dict, int]:
     }, EXIT_UNKNOWN
 
 
+def _expression_report(text: str, work) -> tuple:
+    """work() on one expression, a pair (result, exit code); an error of
+    the expression on the way becomes the report {"error", "input"}, plus
+    "position" for a parse error, with EXIT_CONFIG."""
+    try:
+        return work()
+    except ParseError as exc:
+        return {"error": exc.message, "input": text, "position": exc.position}, EXIT_CONFIG
+    except ValueError as exc:  # e.g. a set too large to print
+        return {"error": str(exc), "input": text}, EXIT_CONFIG
+
+
 def _classify_one(text: str, args: argparse.Namespace, budget: Budget) -> tuple[dict, int]:
     """Parse, classify on a fresh engine (so no verdict depends on what came
-    before), replay and print one expression; an error on the way becomes
-    the report {"error", "input"}, plus "position" for a parse error."""
-    try:
+    before), replay and print one expression, as a report."""
+
+    def work() -> tuple[dict, int]:
         a = parse_set(text, base=args.base)
         engine = Engine(SymbolicUniverse())
         t0 = time.perf_counter()
@@ -103,14 +116,12 @@ def _classify_one(text: str, args: argparse.Namespace, budget: Budget) -> tuple[
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         report = {"input": text, "set": format_set(a)}
         fields, code = _verdict_fields(engine, a, verdict)
-    except ParseError as exc:
-        return {"error": exc.message, "input": text, "position": exc.position}, EXIT_CONFIG
-    except ValueError as exc:  # e.g. a set too large to print
-        return {"error": str(exc), "input": text}, EXIT_CONFIG
-    report.update(fields)
-    if not args.no_timing:
-        report["time_ms"] = round(elapsed_ms, 3)
-    return report, code
+        report.update(fields)
+        if not args.no_timing:
+            report["time_ms"] = round(elapsed_ms, 3)
+        return report, code
+
+    return _expression_report(text, work)
 
 
 def _print_text_report(report: dict) -> None:
@@ -195,12 +206,23 @@ def _tree_text(node: TreeNode, shift: int | None = None, indent: int = 0) -> lis
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    try:
+    """The derivation tree of one expression.  An error of the expression
+    is its report, as JSON on stdout under --format json (as classify
+    prints it), else as text on stderr; a bad --depth is a command error."""
+    if args.depth < 0:
+        return _config_error("dump depth must be >= 0")
+
+    def work() -> tuple[TreeDump, int]:
         a = parse_set(args.expr, base=args.base)
-    except ParseError as exc:
-        return _parse_error(args.expr, exc.message, exc.position)
-    engine = Engine(SymbolicUniverse())
-    dump = engine.tree_dump(a, depth=args.depth)
+        return Engine(SymbolicUniverse()).tree_dump(a, depth=args.depth), EXIT_OK
+
+    dump, code = _expression_report(args.expr, work)
+    if code != EXIT_OK:
+        if args.format == "json":
+            print(json.dumps(dump, sort_keys=True))
+        else:
+            _print_text_report(dump)
+        return code
     if args.format == "json":
         print(dump.to_json())
     elif args.format == "dot":
@@ -238,8 +260,8 @@ def _write_tables(table, out: str, name: str, t: int) -> tuple[str, str]:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     group = _parse_group(args.group)
-    table = build_table(group, SizeAtMost(group, args.t))
     budget = _budget(args)
+    table = build_table(group, SizeAtMost(group, args.t))
     csv_path, json_path = _write_tables(table, args.out, args.group, args.t)
 
     rows = 1 << group.order

@@ -16,10 +16,12 @@ The engine computes, exactly:
   independent recursion (used to cross-check classify);
 * tree_dump: the top of the derivation tree for inspection.
 
-Two universes are supported: symbolic subsets of Z over the family of
-finite sets, and bitmask subsets of a small finite group over a size-bound
-family.  Levels, witnesses and ranks are invariant under translating the
-root, so classification results are memoized per translation orbit.
+Two universes are supported: SymbolicUniverse(), symbolic subsets of Z
+over the family of finite sets, and FiniteGroupUniverse(family), bitmask
+subsets of the group of a size-bound family, of order at most
+groups.MAX_ORDER.  Levels, witnesses and ranks are invariant under
+translating the root, so classification results are memoized per
+translation orbit.
 
 Derived sets only shrink along a path, and a set that contains a translate
 of itself equals it (in a finite group both have the same size; on Z the
@@ -57,7 +59,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .groups import GroupDescriptor, check_mask, mask_elements, mask_translate
+from .groups import MAX_ORDER, check_mask, mask_elements, mask_translate
 from .ideals import FiniteSets, SizeAtMost
 from .symbolic import ShiftSpectrum, SymbolicSet
 
@@ -204,8 +206,7 @@ def _offset_sets(x: SymbolicSet) -> set[tuple[int, ...]]:
 class SymbolicUniverse:
     """Symbolic subsets of Z over the family of finite sets."""
 
-    def __init__(self, family: FiniteSets | None = None):
-        self.family = family if family is not None else FiniteSets()
+    family = FiniteSets()
 
     def validate(self, x: SymbolicSet) -> None:
         if not isinstance(x, SymbolicSet):
@@ -260,25 +261,18 @@ class SymbolicUniverse:
 
 
 class FiniteGroupUniverse:
-    """Bitmask subsets of a small finite group."""
+    """Bitmask subsets of the group of a size-bound family, a group of
+    order at most MAX_ORDER."""
 
-    MAX_ORDER = 24
-
-    def __init__(self, group: GroupDescriptor, family: SizeAtMost):
-        if group.order is None:
-            raise ValueError("finite universe requires a finite group")
-        if group.order > self.MAX_ORDER:
-            raise ValueError(
-                f"group order {group.order} exceeds supported maximum {self.MAX_ORDER}"
-            )
-        if family.group != group:
-            raise ValueError("family is defined over a different group")
-        self.group = group
+    def __init__(self, family: SizeAtMost):
+        self.group = family.group
         self.family = family
+        if self.group.order > MAX_ORDER:
+            raise ValueError(
+                f"group order {self.group.order} exceeds supported maximum {MAX_ORDER}"
+            )
 
     def validate(self, x: int) -> None:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise TypeError(f"expected a bitmask subset, got {type(x).__name__}")
         check_mask(self.group, x)
 
     def in_family(self, x: int) -> bool:

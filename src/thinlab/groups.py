@@ -1,7 +1,11 @@
-"""Ambient groups: Z, Z/n, and (Z/2)^d.
+"""Ambient finite groups: Z/n and (Z/2)^d.
 
-Elements are plain Python ints throughout: arbitrary integers for Z, reduced
-residues 0..n-1 for Z/n, and d-bit masks for (Z/2)^d.
+Elements are plain Python ints throughout: reduced residues 0..n-1 for
+Z/n, and d-bit masks for (Z/2)^d.  A subset is a bitmask with bit a set
+for each element a; `check_mask` is the one rule for what a valid mask
+is, and MAX_ORDER the one bound on the order of a group whose subsets
+the engine and the oracle take.  Subsets of Z are symbolic sets instead
+(`thinlab.symbolic`).
 """
 
 from __future__ import annotations
@@ -10,25 +14,22 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator
 
-INTEGERS = "integers"
 CYCLIC = "cyclic"
 BOOLEAN = "boolean"
+
+MAX_ORDER = 24
 
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """One of the supported abelian groups.
+    """One of the supported finite abelian groups.
 
-    kind "integers" ignores n; "cyclic" is Z/n (n >= 2); "boolean" is
-    (Z/2)^d with n holding the exponent d >= 1.
+    kind "cyclic" is Z/n (n >= 2); "boolean" is (Z/2)^d with n holding
+    the exponent d >= 1.
     """
 
     kind: str
     n: int = 0
-
-    @staticmethod
-    def integers() -> "GroupDescriptor":
-        return GroupDescriptor(INTEGERS)
 
     @staticmethod
     def cyclic(n: int) -> "GroupDescriptor":
@@ -43,14 +44,11 @@ class GroupDescriptor:
         return GroupDescriptor(BOOLEAN, d)
 
     def __post_init__(self) -> None:
-        if self.kind not in (INTEGERS, CYCLIC, BOOLEAN):
+        if self.kind not in (CYCLIC, BOOLEAN):
             raise ValueError(f"unknown group kind {self.kind!r}")
 
     @cached_property
-    def order(self) -> int | None:
-        """Group order, or None for Z."""
-        if self.kind == INTEGERS:
-            return None
+    def order(self) -> int:
         if self.kind == CYCLIC:
             return self.n
         return 1 << self.n
@@ -62,11 +60,7 @@ class GroupDescriptor:
     def contains_element(self, a: int) -> bool:
         if not isinstance(a, int) or isinstance(a, bool):
             return False
-        if self.kind == INTEGERS:
-            return True
-        order = self.order
-        assert order is not None
-        return 0 <= a < order
+        return 0 <= a < self.order
 
     def _check(self, a: int) -> None:
         if not self.contains_element(a):
@@ -75,36 +69,24 @@ class GroupDescriptor:
     def op(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.kind == INTEGERS:
-            return a + b
         if self.kind == CYCLIC:
             return (a + b) % self.n
         return a ^ b
 
     def inverse(self, a: int) -> int:
         self._check(a)
-        if self.kind == INTEGERS:
-            return -a
         if self.kind == CYCLIC:
             return (-a) % self.n
         return a
 
     def elements(self) -> Iterator[int]:
-        """All elements in deterministic (numeric) order; error for Z."""
-        order = self.order
-        if order is None:
-            raise ValueError("cannot enumerate the integers")
-        return iter(range(order))
+        """All elements in deterministic (numeric) order."""
+        return iter(range(self.order))
 
     def nonidentity(self) -> Iterator[int]:
-        order = self.order
-        if order is None:
-            raise ValueError("cannot enumerate the integers")
-        return iter(range(1, order))
+        return iter(range(1, self.order))
 
     def describe(self) -> str:
-        if self.kind == INTEGERS:
-            return "Z"
         if self.kind == CYCLIC:
             return f"Z/{self.n}"
         return f"(Z/2)^{self.n}"
@@ -112,8 +94,6 @@ class GroupDescriptor:
 
 def mask_of(group: GroupDescriptor, elements: "Iterator[int] | list[int] | set[int]") -> int:
     """Bitmask encoding of a subset of a finite group."""
-    if group.order is None:
-        raise ValueError("bitmask subsets require a finite group")
     mask = 0
     for a in elements:
         group._check(a)
@@ -122,9 +102,10 @@ def mask_of(group: GroupDescriptor, elements: "Iterator[int] | list[int] | set[i
 
 
 def check_mask(group: GroupDescriptor, mask: int) -> None:
-    """Raise ValueError unless mask encodes a subset of the finite group."""
-    if group.order is None:
-        raise ValueError("bitmask subsets require a finite group")
+    """Raise TypeError unless mask is a plain int (so not a bool), and
+    ValueError unless it encodes a subset of the group."""
+    if type(mask) is not int:
+        raise TypeError(f"expected a bitmask subset, got {type(mask).__name__}")
     if not 0 <= mask < (1 << group.order):
         raise ValueError(f"mask {mask} out of range for {group.describe()}")
 

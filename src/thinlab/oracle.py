@@ -27,13 +27,10 @@ from .engine import (
     NOT_WELL_FOUNDED,
     NotInThinCompletion,
 )
-from .groups import GroupDescriptor, mask_elements
+from .groups import MAX_ORDER, GroupDescriptor
 from .ideals import SizeAtMost
 
 BOTTOM = -1
-
-MAX_LATTICE_BITS = 24
-
 
 _CHUNK = 8
 _CHUNK_MASK = (1 << _CHUNK) - 1
@@ -102,11 +99,9 @@ class OracleTable:
 
 def build_table(group: GroupDescriptor, family: SizeAtMost) -> OracleTable:
     """Round-based least fixpoint over the full subset lattice."""
-    if group.order is None:
-        raise ValueError("oracle requires a finite group")
-    if group.order > MAX_LATTICE_BITS:
+    if group.order > MAX_ORDER:
         raise ValueError(
-            f"subset lattice 2^{group.order} exceeds 2^{MAX_LATTICE_BITS}"
+            f"subset lattice 2^{group.order} exceeds 2^{MAX_ORDER}"
         )
     if family.group != group:
         raise ValueError("family is defined over a different group")
@@ -213,7 +208,7 @@ def cross_check(table: OracleTable, budget: Budget | None = None) -> CrossCheckR
     """Classify every subset with the engine (full branching) and compare
     levels, bottom verdicts, tree ranks, and witness replays against the
     table."""
-    engine = Engine(FiniteGroupUniverse(table.group, table.family))
+    engine = Engine(FiniteGroupUniverse(table.family))
     mismatches: list[tuple] = []
     total = 1 << table.group.order
     for m in range(total):

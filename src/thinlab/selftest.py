@@ -246,7 +246,7 @@ def _suite_boolean(ctx: _Ctx) -> SuiteResult:
     else:
         mask, x = witness
         group = GroupDescriptor.boolean_power(3)
-        engine = Engine(FiniteGroupUniverse(group, SizeAtMost(group, 1)))
+        engine = Engine(FiniteGroupUniverse(SizeAtMost(group, 1)))
         union = mask | mask_translate(group, mask, x)
         res.checks += 2
         if not engine.is_thin(mask):

@@ -294,6 +294,26 @@ def test_tree_parse_error(capsys):
     assert "parse error:" in err
 
 
+def test_tree_json_reports_errors_of_the_expression(capsys):
+    """Under --format json an error of the expression is the JSON object
+    classify prints; text and DOT output, and a bad --depth, keep stderr."""
+    code, out, err = run(capsys, "tree", "geo(2,1", "--format", "json")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {
+        "error": "expected ',', found 'end of input'", "input": "geo(2,1", "position": 7,
+    }
+    code, out, err = run(capsys, "tree", "geo(2,1,0,100000)", "--format", "json")
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    assert set(report) == {"error", "input"} and "digits" in report["error"]
+    for fmt in ("text", "dot"):
+        code, out, err = run(capsys, "tree", "geo(2,1,0,100000)", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+    code, out, err = run(capsys, "tree", "{1}", "--depth", "-1", "--format", "json")
+    assert (code, out, err) == (2, "", "error: dump depth must be >= 0\n")
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -319,6 +339,20 @@ def test_oracle_writes_tables(capsys, tmp_path):
     with open(json_path) as fh:
         data = json.loads(fh.read())
     assert data["group"] == "Z/5" and len(data["levels"]) == 32
+
+
+def test_oracle_reads_the_budget_before_building_the_table(capsys, monkeypatch, tmp_path):
+    """A bad THINLAB_BUDGET_NODES fails before any table is built; a bad
+    group name is still the error reported first."""
+    calls = []
+    monkeypatch.setattr("thinlab.cli.build_table", lambda *args: calls.append(args))
+    monkeypatch.setenv("THINLAB_BUDGET_NODES", "x")
+    code, out, err = run(capsys, "oracle", "--group", "z16", "--t", "1", "--out", str(tmp_path))
+    assert (code, out) == (2, "") and calls == []
+    assert err == "error: invalid literal for int() with base 10: 'x'\n"
+    code, _, err = run(capsys, "oracle", "--group", "q3", "--out", str(tmp_path))
+    assert code == 2 and calls == []
+    assert err == "error: unknown group 'q3': expected zN or bD\n"
 
 
 def test_oracle_rejects_oversized_group(capsys, tmp_path):

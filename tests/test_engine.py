@@ -521,19 +521,14 @@ def test_symbolic_universe_rejects_bad_sets_and_the_zero_shift():
 
 
 def test_finite_group_universe_constructor_errors():
-    z5 = GroupDescriptor.cyclic(5)
-    with pytest.raises(ValueError, match="requires a finite group"):
-        FiniteGroupUniverse(GroupDescriptor.integers(), SizeAtMost(z5, 1))
     z32 = GroupDescriptor.cyclic(32)
     with pytest.raises(ValueError, match="group order 32 exceeds supported maximum 24"):
-        FiniteGroupUniverse(z32, SizeAtMost(z32, 1))
-    with pytest.raises(ValueError, match="different group"):
-        FiniteGroupUniverse(z5, SizeAtMost(GroupDescriptor.cyclic(3), 1))
+        FiniteGroupUniverse(SizeAtMost(z32, 1))
 
 
 def test_finite_group_universe_rejects_bad_sets_and_the_identity_shift():
     z5 = GroupDescriptor.cyclic(5)
-    eng = Engine(FiniteGroupUniverse(z5, SizeAtMost(z5, 1)))
+    eng = Engine(FiniteGroupUniverse(SizeAtMost(z5, 1)))
     for bad in (True, A):
         with pytest.raises(TypeError, match="expected a bitmask subset"):
             eng.classify(bad)
@@ -553,7 +548,7 @@ def test_finite_group_tree_dump_labels_and_ranks(group, top):
     its elements, and a node with a rank has the rank tree_rank gives it.
     Ranks here stay below the dump depth, so the root of a well-founded
     tree always gets its rank."""
-    universe = FiniteGroupUniverse(group, SizeAtMost(group, 1))
+    universe = FiniteGroupUniverse(SizeAtMost(group, 1))
     eng = Engine(universe)
     full = (1 << group.order) - 1
     ranks = set()
@@ -587,7 +582,7 @@ def test_finite_group_tree_dump_labels_and_ranks(group, top):
 )
 def test_group_match_translate_agrees_with_search_over_all_shifts(group):
     """The size filter in match_translate never hides a translate."""
-    universe = FiniteGroupUniverse(group, SizeAtMost(group, 1))
+    universe = FiniteGroupUniverse(SizeAtMost(group, 1))
     n = group.order
 
     def translate(x, g):

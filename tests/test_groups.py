@@ -1,19 +1,20 @@
 import pytest
 
+from thinlab.engine import Engine, FiniteGroupUniverse
 from thinlab.groups import (
     GroupDescriptor,
+    check_mask,
     mask_elements,
     mask_of,
     mask_translate,
 )
+from thinlab.ideals import SizeAtMost
 
-Z = GroupDescriptor.integers()
 Z5 = GroupDescriptor.cyclic(5)
 B3 = GroupDescriptor.boolean_power(3)
 
 
 def test_descriptor_orders():
-    assert Z.order is None
     assert GroupDescriptor.cyclic(7).order == 7
     assert GroupDescriptor.boolean_power(4).order == 16
 
@@ -28,14 +29,12 @@ def test_descriptor_validation():
 
 
 def test_op_examples():
-    assert Z.op(3, 5) == 8
     assert Z5.op(3, 4) == 2
     # (Z/2)^3: 101 xor 011 = 110
     assert B3.op(0b101, 0b011) == 0b110
 
 
 def test_inverse_examples():
-    assert Z.inverse(7) == -7
     assert Z5.inverse(2) == 3
     for x in B3.elements():
         assert B3.inverse(x) == x
@@ -55,19 +54,15 @@ def test_enumeration_deterministic():
     assert list(GroupDescriptor.boolean_power(2).elements()) == [0, 1, 2, 3]
     assert list(GroupDescriptor.cyclic(2).elements()) == [0, 1]
     assert list(Z5.nonidentity()) == [1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        Z.elements()
 
 
 @pytest.mark.parametrize(
     "group",
-    [Z, Z5, GroupDescriptor.cyclic(9), B3, GroupDescriptor.boolean_power(5)],
+    [Z5, GroupDescriptor.cyclic(9), B3, GroupDescriptor.boolean_power(5)],
     ids=lambda g: g.describe(),
 )
 def test_group_axioms_random_triples(group, rng):
     def pick():
-        if group.order is None:
-            return rng.randint(-10**9, 10**9)
         return rng.randrange(group.order)
 
     e = group.identity
@@ -93,8 +88,6 @@ def test_mask_round_trip():
     assert mask_of(Z5, []) == 0
     with pytest.raises(ValueError):
         mask_of(Z5, [5])
-    with pytest.raises(ValueError):
-        mask_of(Z, [1])
     with pytest.raises(ValueError):
         mask_elements(Z5, 1 << 5)
 
@@ -155,5 +148,29 @@ def test_mask_translate_validation(group):
     for mask in (1 << n, -1):
         with pytest.raises(ValueError, match="out of range"):
             mask_translate(group, mask, 1)
-    with pytest.raises(ValueError, match="finite group"):
-        mask_translate(Z, 1, 1)
+
+
+@pytest.mark.parametrize("group", [Z5, B3], ids=lambda g: g.describe())
+def test_every_mask_entry_point_keeps_one_rule(group):
+    """A mask is a plain int in range: each entry point raises TypeError
+    on a bool, a float or a string, and ValueError out of range.  A group
+    is finite: the descriptor refuses the kind "integers"."""
+    engine = Engine(FiniteGroupUniverse(SizeAtMost(group, 1)))
+    entry_points = [
+        engine.classify,
+        engine.tree_rank,
+        lambda m: engine.derived_set(m, [1]),
+        SizeAtMost(group, 1).contains,
+        lambda m: mask_translate(group, m, 1),
+        lambda m: mask_elements(group, m),
+        lambda m: check_mask(group, m),
+    ]
+    for call in entry_points:
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(TypeError, match="expected a bitmask subset"):
+                call(bad)
+        for bad in (-1, 1 << group.order):
+            with pytest.raises(ValueError, match="out of range"):
+                call(bad)
+    with pytest.raises(ValueError, match="unknown group kind"):
+        GroupDescriptor("integers")

@@ -287,8 +287,6 @@ def test_build_table_validation():
         build_table(GroupDescriptor.cyclic(30), SizeAtMost(GroupDescriptor.cyclic(30), 1))
     with pytest.raises(ValueError):
         build_table(Z5, SizeAtMost(Z7, 1))
-    with pytest.raises(ValueError):
-        build_table(GroupDescriptor.integers(), SizeAtMost(Z5, 1))
 
 
 def test_csv_schema():

@@ -45,7 +45,7 @@ def finite_verdicts():
     """Every subset of each group at t = 0, 1, 2, one engine per (group, t)."""
     for group in GROUPS:
         for t in range(3):
-            engine = Engine(FiniteGroupUniverse(group, SizeAtMost(group, t)))
+            engine = Engine(FiniteGroupUniverse(SizeAtMost(group, t)))
             for mask in range(1 << group.order):
                 yield f"{group.describe()} {t} {mask} {engine.classify(mask)!r}"
 
@@ -99,7 +99,7 @@ def rank_corpus():
     the first 300 symbolic sets.  Pairs of one universe are adjacent."""
     for group in GROUPS:
         for t in range(3):
-            universe = FiniteGroupUniverse(group, SizeAtMost(group, t))
+            universe = FiniteGroupUniverse(SizeAtMost(group, t))
             for mask in range(1 << group.order):
                 yield universe, mask
     universe = SymbolicUniverse()
