@@ -37,10 +37,9 @@ def main() -> int:
             table = build_table(group, SizeAtMost(group, t))
             report = cross_check(table)
             _write_tables(table, args.out, name, t)
-            bottoms = sum(1 for v in table.levels if v < 0)
             print(
                 f"{name} t={t}: max level {table.max_level()}, "
-                f"{bottoms} bottom, {report.summary()}"
+                f"{table.bottom_count()} bottom, {report.summary()}"
             )
             if not report.ok:
                 failures += 1

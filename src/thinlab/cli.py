@@ -269,8 +269,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"size_bound: {args.t}")
     print(f"rows: {rows}")
     print(f"max_level: {table.max_level()}")
-    bottoms = sum(1 for v in table.levels if v < 0)
-    print(f"bottom_count: {bottoms}")
+    print(f"bottom_count: {table.bottom_count()}")
     print(f"csv: {csv_path}")
     print(f"json: {json_path}")
     report = cross_check(table, budget)

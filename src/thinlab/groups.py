@@ -58,12 +58,14 @@ class GroupDescriptor:
         return 0
 
     def contains_element(self, a: int) -> bool:
-        if not isinstance(a, int) or isinstance(a, bool):
-            return False
-        return 0 <= a < self.order
+        return type(a) is int and 0 <= a < self.order
 
     def _check(self, a: int) -> None:
-        if not self.contains_element(a):
+        """Raise TypeError unless a is a plain int (so not a bool), and
+        ValueError unless it is an element of the group."""
+        if type(a) is not int:
+            raise TypeError(f"expected a group element, got {type(a).__name__}")
+        if not 0 <= a < self.order:
             raise ValueError(f"element {a!r} not in {self.describe()}")
 
     def op(self, a: int, b: int) -> int:

@@ -1,17 +1,21 @@
 """Brute-force ground truth over small finite groups.
 
 Enumerates every subset of a finite group (bitmask-encoded) and assigns its
-exact hierarchy level by a round-based least fixpoint: round 0 marks the
-base-family members at level 0, round r+1 marks the unmarked subsets all of
-whose derived children are already marked, at one plus the largest child
-level.  Subsets never marked sit outside the thin completion and get the
-bottom value.
+exact hierarchy level in one pass over the masks in ascending order.  A
+subset outside the base family is bottom (outside the thin completion) when
+one of its children equals it or is bottom; otherwise its level is one plus
+the largest child level, family children counting 0.  Every child
+m & (g + m) is a subset of m, so the pass meets every proper child before
+its parent.  Derivation commutes with translation,
+(g + A) & (h + g + A) = g + (A & (h + A)), and the family is
+translation-invariant, so a level is constant on each translation orbit:
+the first mask of an orbit fills all of it.
 
 The oracle intentionally shares no code with the classification engine:
 children are recomputed from the group operation directly, and an
-independent depth-first recursion (`recursive_levels`) re-derives the same
-table a third way.  `cross_check` runs the engine over every subset and
-compares.
+independent depth-first recursion (`recursive_levels`), which assumes
+neither the order nor the orbits, re-derives the same table.  `cross_check`
+runs the engine over every subset and compares.
 """
 
 from __future__ import annotations
@@ -82,6 +86,9 @@ class OracleTable:
     def max_level(self) -> int:
         return max((v for v in self.levels if v != BOTTOM), default=0)
 
+    def bottom_count(self) -> int:
+        return self.levels.count(BOTTOM)
+
     def to_csv(self) -> str:
         lines = ["subset_bitmask,level"]
         lines.extend(f"{m},{v}" for m, v in enumerate(self.levels))
@@ -98,49 +105,38 @@ class OracleTable:
 
 
 def build_table(group: GroupDescriptor, family: SizeAtMost) -> OracleTable:
-    """Round-based least fixpoint over the full subset lattice."""
+    """Exact level of every subset, in one ascending pass over the masks.
+
+    Ascending order is exact because a child m & (g + m) is a subset of m:
+    it is either smaller than m, so already filled, or m itself, a cycle
+    that makes m bottom unless m is in the family.  Filling the whole
+    translation orbit of m with its level is exact because the family is
+    translation-invariant and derivation commutes with translation."""
     if group.order > MAX_ORDER:
         raise ValueError(
             f"subset lattice 2^{group.order} exceeds 2^{MAX_ORDER}"
         )
     if family.group != group:
         raise ValueError("family is defined over a different group")
-    n = group.order
-    total = 1 << n
-    maps = _shift_maps(group)
-    levels: list[int | None] = [None] * total
-    for m in range(total):
-        if family.contains(m):
-            levels[m] = 0
-
-    round_no = 0
-    while True:
-        round_no += 1
-        marks: list[tuple[int, int]] = []
-        for m in range(total):
-            if levels[m] is not None:
-                continue
-            worst = -1
-            complete = True
-            for tables in maps.values():
-                child = m & _translate(m, tables)
-                lc = levels[child]
-                if lc is None:
-                    complete = False
+    shifts = tuple(_shift_maps(group).values())
+    levels: list[int | None] = [None] * (1 << group.order)
+    for m in range(len(levels)):
+        if levels[m] is not None:
+            continue
+        images = [_translate(m, tables) for tables in shifts]
+        level = 0
+        if not family.contains(m):
+            level = 1
+            for image in images:
+                child = m & image
+                if child == m or levels[child] == BOTTOM:
+                    level = BOTTOM
                     break
-                if lc > worst:
-                    worst = lc
-            if complete:
-                marks.append((m, 1 + worst))
-        if not marks:
-            break
-        for m, lv in marks:
-            assert lv == round_no, "fixpoint round invariant violated"
-            levels[m] = lv
-
-    return OracleTable(
-        group, family, tuple(BOTTOM if v is None else v for v in levels)
-    )
+                level = max(level, 1 + levels[child])
+        levels[m] = level
+        for image in images:
+            levels[image] = level
+    return OracleTable(group, family, tuple(levels))
 
 
 def recursive_levels(group: GroupDescriptor, family: SizeAtMost) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from collections import Counter
@@ -164,6 +165,30 @@ def test_prime_cycles_have_unique_bottom():
 def test_fixpoint_matches_recursive(group, t):
     fam = SizeAtMost(group, t)
     assert build_table(group, fam).levels == recursive_levels(group, fam)
+
+
+@pytest.mark.parametrize(
+    "group,t",
+    [(GroupDescriptor.cyclic(n), t) for n in (8, 9, 12) for t in range(4)]
+    + [(GroupDescriptor.boolean_power(4), t) for t in (1, 2)],
+    ids=lambda v: v.describe() if isinstance(v, GroupDescriptor) else str(v),
+)
+def test_fixpoint_matches_recursive_with_stabilizers(group, t):
+    """Groups with translation orbits that are not all free: a subset
+    fixed by some translate has fewer translates than the group has
+    elements, so the pass fills its orbit from repeated images."""
+    fam = SizeAtMost(group, t)
+    assert build_table(group, fam).levels == recursive_levels(group, fam)
+
+
+def test_z16_table_digest():
+    # the table the oracle benchmark workload builds, pinned by its bytes
+    tab = table(GroupDescriptor.cyclic(16), 1)
+    assert hashlib.sha256(bytes(v + 1 for v in tab.levels)).hexdigest() == (
+        "09d1202737ae4c2b5ad0d9e895cfd22d7773871178eb524e5437d590763f4e84"
+    )
+    assert tab.max_level() == 7
+    assert tab.bottom_count() == 58975
 
 
 @pytest.mark.parametrize("group,t", [(Z5, 1), (Z5, 0), (B3, 2)], ids=str)
