@@ -20,8 +20,8 @@ Two universes are supported: SymbolicUniverse(), symbolic subsets of Z
 over the family of finite sets, and FiniteGroupUniverse(family), bitmask
 subsets of the group of a size-bound family, of order at most
 groups.MAX_ORDER.  Levels, witnesses and ranks are invariant under
-translating the root, so classification results are memoized per
-translation orbit.
+translating the root, so classification results, and on Z tree ranks,
+are memoized per translation orbit.
 
 Derived sets only shrink along a path, and a set that contains a translate
 of itself equals it (in a finite group both have the same size; on Z the
@@ -228,7 +228,7 @@ class SymbolicUniverse:
 
     def norm_key(self, x: SymbolicSet) -> SymbolicSet:
         """x moved to put its least geometric offset, else its least
-        element, at 0; classify calls it only on sets with no periodic part."""
+        element, at 0; a set with only a periodic part is its own key."""
         if x.tails:
             return x.translate(-min(t[1] for t in x.tails))
         if x.finite:
@@ -409,16 +409,21 @@ class Engine:
         """Rank of the derivation tree: an integer, NOT_WELL_FOUNDED, or
         Unknown.  Independent of classify: plain recursion over branches
         of exact sets, where a child equal to its parent is a cycle.
-        Ranks, NOT_WELL_FOUNDED included, are memoized per engine."""
+        Ranks, NOT_WELL_FOUNDED included, are memoized per engine.  A rank
+        is constant on a translation orbit, so on Z the memo is keyed by
+        norm_key, a translate; a finite group keeps the exact mask as its
+        key, as its norm_key costs |G| translates per node."""
         budget = budget if budget is not None else Budget()
         self.universe.validate(x)
         counter = _Counter()
+        on_z = isinstance(self.universe, SymbolicUniverse)
 
         def rec(y, shifts: tuple[int, ...]):
             if self.universe.in_family(y):
                 return 0
-            if y in self._ranks:
-                return self._ranks[y]
+            key = self.universe.norm_key(y) if on_z else y
+            if key in self._ranks:
+                return self._ranks[key]
             if len(shifts) >= budget.max_depth:
                 raise _BudgetStop(len(shifts), counter.nodes, shifts)
             best = 0
@@ -433,7 +438,7 @@ class Engine:
                 best = max(best, r)
             else:
                 rank = 1 + best
-            self._ranks[y] = rank
+            self._ranks[key] = rank
             return rank
 
         try:

@@ -57,9 +57,6 @@ class GroupDescriptor:
     def identity(self) -> int:
         return 0
 
-    def contains_element(self, a: int) -> bool:
-        return type(a) is int and 0 <= a < self.order
-
     def _check(self, a: int) -> None:
         """Raise TypeError unless a is a plain int (so not a bool), and
         ValueError unless it is an element of the group."""

@@ -483,15 +483,18 @@ class SymbolicSet:
     def shift_spectrum(self) -> "ShiftSpectrum":
         """All shifts g != 0 whose self-intersection A & (g + A) is infinite,
         as finitely many explicit shifts plus residue classes; every shift
-        outside the spectrum has a finite self-intersection."""
+        outside the spectrum has a finite self-intersection.
+
+        The explicit candidates, differences of tail offsets of one cp, come
+        in pairs +-g, and A & (A - g) = (A & (A + g)) - g: only the children
+        for g > 0 are intersected, and each -g child is their translate."""
         cands: set[int] = set()
         for cp1, d1, _, _ in self.tails:
             for cp2, d2, _, _ in self.tails:
-                if cp1 == cp2 and d1 != d2:
+                if cp1 == cp2 and d1 > d2:
                     cands.add(d1 - d2)
-        explicit = tuple(
-            (g, self.intersect(self.translate(g))) for g in sorted(cands)
-        )
+        up = [(g, self.intersect(self.translate(g))) for g in sorted(cands)]
+        explicit = tuple([(-g, c.translate(-g)) for g, c in reversed(up)] + up)
 
         classes: list[ClassShift] = []
         p = self.period

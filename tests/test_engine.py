@@ -217,10 +217,9 @@ def test_escalation_chain_levels():
     a = A
     for lvl in range(1, 9):
         assert eng.classify(a) == ExactLevel(lvl)
-        # tree_rank, sharing the engine's rank memo, takes about 1.5 s at
-        # level 7 and 8 s at level 8
-        if lvl <= 7:
-            assert eng.tree_rank(a) == lvl
+        # tree_rank, sharing the engine's rank memo, takes about 0.2 s of
+        # CPU at level 7 and 1.0 s at level 8
+        assert eng.tree_rank(a) == lvl
         a = escalate(a, eng)
 
 
@@ -356,6 +355,39 @@ def test_tree_rank_matches_level(rng):
         v = eng.classify(a)
         assert isinstance(v, ExactLevel)
         assert eng.tree_rank(a) == v.level
+
+
+def test_tree_rank_memoized_per_orbit_on_z():
+    """A translate of a ranked set is a memo hit: the same rank, no new
+    memo entry and no node spent, where a fresh engine runs out."""
+    from thinlab.bounds import escalate
+
+    starved = Budget(max_nodes=1, max_depth=1)
+    sets = [TWO_TAILS, escalate(escalate(escalate(A))), ap(3, 2) | A, ap(5, 1) | TWO_TAILS]
+    for a in sets:
+        eng = Engine()
+        rank = eng.tree_rank(a)
+        size = len(eng._ranks)
+        for shift in (10**12 + 7, -(3**40)):
+            moved = a.translate(shift)
+            assert isinstance(Engine().tree_rank(moved, starved), Unknown), a
+            assert eng.tree_rank(moved, starved) == rank, a
+            assert len(eng._ranks) == size, a
+
+
+def test_tree_rank_memoized_per_mask_on_finite_groups():
+    """On a finite group the rank memo keeps the exact mask as its key: a
+    translate of a ranked mask is ranked again, as a new entry."""
+    group = GroupDescriptor.cyclic(8)
+    eng = Engine(FiniteGroupUniverse(SizeAtMost(group, 1)))
+    mask = 0b0010_1101
+    assert eng.tree_rank(mask) == 3
+    assert mask in eng._ranks
+    size = len(eng._ranks)
+    moved = mask_translate(group, mask, 3)
+    assert moved not in eng._ranks
+    assert eng.tree_rank(moved) == 3
+    assert moved in eng._ranks and len(eng._ranks) > size
 
 
 # ---------------------------------------------------------------------------

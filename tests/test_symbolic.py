@@ -591,6 +591,31 @@ def test_spectrum_explicit_children_exact(rng):
             assert set(child.window(lo, hi)) == expect
 
 
+def test_spectrum_negative_children_are_exact_translates(rng):
+    """Each -g child is built as the translate of the +g child; it equals
+    the intersection A & (A - g) itself: seeded random sets over bases 2
+    and 3 with up to 4 tails and a periodic part in about half of them,
+    and escalation stages 1-5."""
+    corpus = [
+        random_set(rng, base=base, max_geo=max_geo, max_ap=1)
+        for base in (2, 3)
+        for max_geo in (2, 3, 4)
+        for _ in range(200)
+    ]
+    stage = geo(2, 1, 0, 0)
+    for _ in range(5):
+        corpus.append(stage)
+        stage = escalate(stage)
+    shifts = periodic = 0
+    for a in corpus:
+        explicit = a.shift_spectrum().explicit
+        assert explicit == tuple((g, a.intersect(a.translate(g))) for g, _ in explicit), a
+        shifts += len(explicit)
+        periodic += bool(explicit) and a.period is not None
+    assert shifts >= 300
+    assert periodic >= 40
+
+
 def test_spectrum_uniform_classes_sampled(rng):
     seen = 0
     for _ in range(160):
