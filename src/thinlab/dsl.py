@@ -13,8 +13,14 @@ Grammar (precedence low to high):
             | 'ap' '(' INT ',' INT ')'
             | '(' expr ')'
 
+Tokens: whitespace is skipped; INT is a run of decimal digits (str.isdecimal,
+what int() reads); a name is a letter (str.isalpha) then letters and digits
+(str.isalnum), so '_' ends it; each of {}(),|&+*- is a token of its own; any
+other character is an error.
+
 Values are integers or sets; '+' translates a set by an integer, '*'
-scales one, '|' and '&' are union and intersection of sets.  Errors carry
+scales one, '|' and '&' are union and intersection of sets; `geo` and
+`ap` build their sets by `symbolic.geo` and `symbolic.ap`.  Errors carry
 the character position for caret diagnostics.  `format_set` prints the
 canonical form, and printing then parsing is the identity on canonical
 sets.
@@ -23,9 +29,9 @@ sets.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+import re
 
-from .symbolic import APTerm, GeoTerm, SymbolicSet, make_set
+from .symbolic import SymbolicSet, ap, geo, make_set
 
 
 class ParseError(Exception):
@@ -39,71 +45,50 @@ def caret_diagram(text: str, position: int) -> str:
     return f"  {text}\n  {' ' * position}^"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# The token rule of the module docstring.  '\w' also holds numerals that are
+# not letters, such as '²', so _tokenize checks a name's first character.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[^\W\d_][^\W_]*)|(?P<punct>[-{}(),|&+*])|(?P<other>\S))"
+)
 
 
-_PUNCT = set("{}(),|&+*-")
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token; a punctuation token is its own kind."""
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            out.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _PUNCT:
-            out.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok, pos = m[kind], m.start(kind)
+        if kind == "other" or kind == "name" and not tok[0].isalpha():
+            raise ParseError(f"unexpected character {tok[0]!r}", pos)
+        out.append((tok if kind == "punct" else kind, tok, pos))
+    out.append(("end", "", len(text)))
     return out
 
 
 class _Parser:
     def __init__(self, text: str, base: int):
-        self.text = text
         self.base = base
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.i][0]
 
-    def take(self, kind: str | None = None) -> _Token:
-        tok = self.tokens[self.i]
-        if kind is not None and tok.kind != kind:
+    def take(self, kind: str | None = None) -> tuple[str, int]:
+        """(text, position) of the next token, which must be of `kind` if given."""
+        got, text, pos = self.tokens[self.i]
+        if kind is not None and got != kind:
             want = {"int": "an integer", "end": "end of input"}.get(kind, f"'{kind}'")
-            raise ParseError(f"expected {want}, found {tok.text or 'end of input'!r}", tok.pos)
+            raise ParseError(f"expected {want}, found {text or 'end of input'!r}", pos)
         self.i += 1
-        return tok
+        return text, pos
 
     def parse(self):
         value = self.union()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        if self.peek() != "end":
+            text, pos = self.take()
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
         return value
 
     def union(self):
@@ -112,7 +97,7 @@ class _Parser:
         caret of the first '|' that fails, is the fold's; a later operand's
         error comes only after the fold up to it has passed."""
         operands, ops = [self.inter()], []
-        while self.peek().kind == "|":
+        while self.peek() == "|":
             ops.append(self.take())
             try:
                 operands.append(self.inter())
@@ -126,7 +111,7 @@ class _Parser:
                 pass
         return self._fold(operands, ops)
 
-    def _fold(self, operands: list, ops: list[_Token]):
+    def _fold(self, operands: list, ops: list[tuple[str, int]]):
         left = operands[0]
         for op, right in zip(ops, operands[1:]):
             left = self._set_op(left, right, op, "union")
@@ -134,85 +119,85 @@ class _Parser:
 
     def inter(self):
         left = self.sum()
-        while self.peek().kind == "&":
+        while self.peek() == "&":
             op = self.take()
             right = self.sum()
             left = self._set_op(left, right, op, "intersect")
         return left
 
-    def _set_op(self, left, right, op: _Token, name: str):
+    def _set_op(self, left, right, op: tuple[str, int], name: str):
+        sym, pos = op
         if not isinstance(left, SymbolicSet) or not isinstance(right, SymbolicSet):
-            raise ParseError(f"'{op.kind}' needs set operands", op.pos)
+            raise ParseError(f"'{sym}' needs set operands", pos)
         try:
             return getattr(left, name)(right)
         except ValueError as exc:
-            raise ParseError(str(exc), op.pos) from None
+            raise ParseError(str(exc), pos) from None
 
     def sum(self):
         left = self.prod()
-        while self.peek().kind == "+":
+        while self.peek() == "+":
             op = self.take()
             left = self._mixed(left, self.prod(), op, operator.add, SymbolicSet.translate)
         return left
 
     def prod(self):
         left = self.unary()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             op = self.take()
             left = self._mixed(left, self.unary(), op, operator.mul, SymbolicSet.scale)
         return left
 
-    def _mixed(self, left, right, op: _Token, on_ints, on_set):
+    def _mixed(self, left, right, op: tuple[str, int], on_ints, on_set):
         """Two integers, or a set and an integer in either order; a
         ValueError of on_set is reported at the operator."""
+        sym, pos = op
         if isinstance(left, int) and isinstance(right, int):
             return on_ints(left, right)
         if isinstance(left, int):
             left, right = right, left
         if not isinstance(right, int):
-            raise ParseError(f"'{op.kind}' cannot combine two sets", op.pos)
+            raise ParseError(f"'{sym}' cannot combine two sets", pos)
         try:
             return on_set(left, right)
         except ValueError as exc:
-            raise ParseError(str(exc), op.pos) from None
+            raise ParseError(str(exc), pos) from None
 
     def unary(self):
-        if self.peek().kind == "-":
-            op = self.take()
+        if self.peek() == "-":
+            _, pos = self.take()
             value = self.unary()
             if not isinstance(value, int):
-                raise ParseError("unary '-' needs an integer", op.pos)
+                raise ParseError("unary '-' needs an integer", pos)
             return -value
         return self.primary()
 
     def primary(self):
-        tok = self.peek()
-        if tok.kind == "int":
+        kind, text, pos = self.tokens[self.i]
+        if kind == "int":
             self.take()
-            return int(tok.text)
-        if tok.kind == "{":
+            return int(text)
+        if kind == "{":
             return self.finite_literal()
-        if tok.kind == "name":
-            if tok.text == "geo":
-                return self.term_call(4, self._make_geo)
-            if tok.text == "ap":
-                return self.term_call(2, self._make_ap)
-            raise ParseError(f"unknown name {tok.text!r}", tok.pos)
-        if tok.kind == "(":
+        if kind == "name":
+            if text == "geo":
+                return self.term_call(4, geo)
+            if text == "ap":
+                return self.term_call(2, ap)
+            raise ParseError(f"unknown name {text!r}", pos)
+        if kind == "(":
             self.take()
             value = self.union()
             self.take(")")
             return value
-        raise ParseError(
-            f"expected an expression, found {tok.text or 'end of input'!r}", tok.pos
-        )
+        raise ParseError(f"expected an expression, found {text or 'end of input'!r}", pos)
 
     def finite_literal(self) -> SymbolicSet:
         self.take("{")
         xs = []
-        if self.peek().kind != "}":
+        if self.peek() != "}":
             xs.append(self.signed_int())
-            while self.peek().kind == ",":
+            while self.peek() == ",":
                 self.take()
                 xs.append(self.signed_int())
         self.take("}")
@@ -220,14 +205,13 @@ class _Parser:
 
     def signed_int(self) -> int:
         sign = 1
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.take()
             sign = -1
-        tok = self.take("int")
-        return sign * int(tok.text)
+        return sign * int(self.take("int")[0])
 
     def term_call(self, arity: int, build):
-        name = self.take("name")
+        _, pos = self.take("name")
         self.take("(")
         args = [self.signed_int()]
         for _ in range(arity - 1):
@@ -235,19 +219,9 @@ class _Parser:
             args.append(self.signed_int())
         self.take(")")
         try:
-            return build(args)
+            return build(*args, base=self.base)
         except ValueError as exc:
-            raise ParseError(str(exc), name.pos) from None
-
-    def _make_geo(self, args: list[int]) -> SymbolicSet:
-        b, c, d, n0 = args
-        return make_set(geos=[GeoTerm(b, c, d, n0)], base=self.base)
-
-    def _make_ap(self, args: list[int]) -> SymbolicSet:
-        c, d = args
-        if c < 1:
-            raise ValueError(f"progression modulus must be >= 1, got {c}")
-        return make_set(aps=[APTerm(c, d % c)], base=self.base)
+            raise ParseError(str(exc), pos) from None
 
 
 def parse_expr(text: str, base: int = 2):

@@ -52,9 +52,6 @@ class FiniteSets:
         xs = [x for x in a.finite if rng.random() < 0.5]
         return finite_set(xs)
 
-    def _union(self, a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
-        return a.union(b)
-
     def _forced_union_pair(self) -> tuple[SymbolicSet, SymbolicSet] | None:
         return None
 
@@ -94,9 +91,6 @@ class SizeAtMost:
     def _random_subobject(self, a: int, rng: random.Random) -> int:
         xs = [x for x in mask_elements(self.group, a) if rng.random() < 0.5]
         return mask_of(self.group, xs)
-
-    def _union(self, a: int, b: int) -> int:
-        return a | b
 
     def _forced_union_pair(self) -> tuple[int, int] | None:
         # two disjoint members whose union exceeds the bound, when one exists
@@ -146,12 +140,12 @@ def check_axioms(family, samples: int = 100, rng: random.Random | None = None) -
             lower = False
             witnesses.setdefault("lower", (a, b))
         c = family._random_member(rng)
-        if not family.contains(family._union(a, c)):
+        if not family.contains(a | c):
             additive = False
             witnesses.setdefault("additive", (a, c))
 
     forced = family._forced_union_pair()
-    if forced is not None and not family.contains(family._union(*forced)):
+    if forced is not None and not family.contains(forced[0] | forced[1]):
         additive = False
         witnesses.setdefault("additive", forced)
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -548,7 +549,7 @@ class SymbolicSet:
         return make_set(
             data.get("finite", ()),
             (GeoTerm(t["b"], t["c"], t["d"], t.get("n0", 0)) for t in data.get("geo", ())),
-            (APTerm(t["c"], t["d"] % t["c"]) for t in data.get("ap", ())),
+            (_ap_term(t["c"], t["d"]) for t in data.get("ap", ())),
             base=base,
         )
 
@@ -576,6 +577,10 @@ class SymbolicSet:
         return bound
 
     def __repr__(self) -> str:
+        # str(10**limit) raises for a coefficient cp * b0**m0 surely too long to print
+        limit = sys.get_int_max_str_digits()
+        if limit and any(t[2] > (limit + 1) / math.log10(self.base) for t in self.tails):
+            str(10**limit)
         bits = []
         if self.finite:
             bits.append("{" + ",".join(str(x) for x in self.finite) + "}")
@@ -731,8 +736,15 @@ def geo(b: int, c: int, d: int, n0: int = 0, base: int = DEFAULT_BASE) -> Symbol
     return make_set(geos=[GeoTerm(b, c, d, n0)], base=base)
 
 
+def _ap_term(c: int, d: int) -> APTerm:
+    """The term ap(c, d): the modulus is checked before d is reduced mod c."""
+    if c < 1:
+        raise ValueError(f"progression modulus must be >= 1, got {c}")
+    return APTerm(c, d % c)
+
+
 def ap(c: int, d: int, base: int = DEFAULT_BASE) -> SymbolicSet:
-    return make_set(aps=[APTerm(c, d % c)], base=base)
+    return make_set(aps=[_ap_term(c, d)], base=base)
 
 
 def random_set(

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -122,6 +123,36 @@ def test_classify_unprintable_set(capsys):
     code, out, err = run(capsys, "classify", "geo(2,1,0,100000)", "--no-timing")
     assert code == 2 and out == ""
     assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command", [
+    ("classify", "EXPR", "--no-timing"),
+    ("classify", "EXPR", "--no-timing", "--format", "json"),
+    ("tree", "EXPR", "--format", "json"),
+])
+def test_huge_start_index_reports_at_once(command):
+    """geo(2,1,0,10**12) gets a verdict or a tree, but its printed
+    coefficient 2**(10**12) has far more digits than str() allows.  The
+    report is the one geo(2,1,0,15000) gives, with exit 2, and it comes at
+    once because the power is never built.  The child's address space is
+    capped, so a regression fails here instead of filling memory."""
+
+    def report(n0: int) -> tuple[int, str, str]:
+        expr = f"geo(2,1,0,{n0})"
+        proc = subprocess.run(
+            [sys.executable, "-m", "thinlab.cli", *(expr if a == "EXPR" else a for a in command)],
+            capture_output=True, text=True, timeout=10, check=False,
+            preexec_fn=_limit_address_space,
+        )
+        return proc.returncode, proc.stdout.replace(expr, "EXPR"), proc.stderr
+
+    huge = report(10**12)
+    assert huge == report(15000)
+    assert huge[0] == 2 and "Exceeds the limit (4300 digits)" in huge[1] + huge[2]
 
 
 def test_classify_bad_base(capsys):

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import pytest
 
 from thinlab.bounds import escalate
 from thinlab.dsl import ParseError, caret_diagram, format_set, parse_expr, parse_set
+from thinlab.dsl import _tokenize
 from thinlab.symbolic import SymbolicSet, ap, empty_set, finite_set, geo, random_set
 
 
@@ -170,6 +172,85 @@ def test_parse_set_rejects_integers():
 def test_caret_diagram():
     assert caret_diagram("geo(2,1", 7) == "  geo(2,1\n         ^"
     assert caret_diagram("2|3", 1) == "  2|3\n   ^"
+
+
+# ---------------------------------------------------------------------------
+# Tokens
+# ---------------------------------------------------------------------------
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The character loop the regex scanner replaced, as its reference."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            out.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalnum():
+                j += 1
+            out.append(("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "{}(),|&+*-":
+            out.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    out.append(("end", "", n))
+    return out
+
+
+def _scan(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return exc.message, exc.position
+
+
+# The grammar's characters; digits and letters, a few beyond ASCII (the
+# Arabic-Indic three, the numeral one half, which is neither digit nor
+# letter); '_', '$'; whitespace, a no-break space among it.  Numerals that
+# str.isdigit accepts and int() rejects, such as '²', are left to the probes
+# below: the loop made them integers that int() then failed on.
+_ALPHABET = "{}(),|&+*-" "0123456789٣½" "geoapxëß" "_$" " \t\n\u00a0"
+
+
+def test_scanner_matches_the_character_loop():
+    rng = random.Random(14)
+    outcomes = {list: 0, tuple: 0}
+    for _ in range(5000):
+        text = "".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(13)))
+        got = _scan(_tokenize, text)
+        assert got == _scan(_reference_tokenize, text), text
+        outcomes[type(got)] += 1
+    assert min(outcomes.values()) >= 1000, outcomes
+
+
+def test_scanner_reads_decimal_digits_of_any_script():
+    assert parse_set("{٣}") == finite_set([3])
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("{²}", "unexpected character '²'", 1),
+    ("½", "unexpected character '½'", 0),
+    ("gëo(2,1,0,0)", "unknown name 'gëo'", 0),
+    ("x²", "unknown name 'x²'", 0),
+])
+def test_scanner_unicode_probes(text, message, position):
+    e = err(text)
+    assert (e.message, e.position) == (message, position)
 
 
 # ---------------------------------------------------------------------------

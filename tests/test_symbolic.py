@@ -87,6 +87,19 @@ def test_ap_term_validation():
         APTerm(4, -1)
 
 
+@pytest.mark.parametrize("c", [0, -3])
+def test_progression_modulus_checked_before_reduction(c):
+    """ap(c, d) and the JSON form check the modulus before d is reduced
+    mod c, so a zero modulus is a ValueError, not a ZeroDivisionError."""
+    message = f"progression modulus must be >= 1, got {c}"
+    with pytest.raises(ValueError) as info:
+        ap(c, 5)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        SymbolicSet.from_json_dict({"ap": [{"c": c, "d": 1}]})
+    assert str(info.value) == message
+
+
 def test_session_base_compatibility():
     with pytest.raises(ValueError):
         make_set(geos=[GeoTerm(3, 1, 0, 0)], base=2)
