@@ -40,8 +40,11 @@ infinite exactly when some tail survives every such translate.  Tails with diffe
 and two tails of one cp meet infinitely exactly when their exponent sets
 share a class mod Q, the lcm of the tail steps.  For each cp and exponent
 class r let D_(cp,r) be the offsets d of the tails that contain r.  A set
-with a periodic part is outside the completion (the period branch is a
-fixed point); for any other set,
+with a periodic part P is outside the completion: the period branch
+reaches a fixed point.  Deriving by the period p keeps P and never meets
+it, so the branch is P together with the chain of the remainder R (the
+finite part and the tails), which ends at the first empty set; its
+length is the longest run y, y - p, ... inside R.  For any other set,
 
     level(A) = max over (cp, r) of h(D_(cp,r)),
     h({}) = 0,  h(D) = 1 + max over g > 0 of h(D & (D - g)),
@@ -586,11 +589,19 @@ class Engine:
         """Follow the period branch of a set with a periodic part to its
         fixed point: deriving by the period p keeps the periodic part, so
         the shrinking chain x, x & (p + x), ... stops at an infinite set
-        equal to its own child."""
+        equal to its own child.
+
+        The chain is walked on the remainder R, the finite part and the
+        tails, alone.  Write x = P | R with P the periodic part.  A
+        canonical R misses P, and P + p = P, so R + p misses P too and the
+        k-th set of the chain is P | R_k, with R_k the k-th set of R's
+        chain.  R_k holds no periodic subset, so it equals its child only
+        when it is empty: the fixed point comes at the first k with R_k
+        empty, which is the longest run y, y - p, ... inside R."""
         p = x.period
+        rest = SymbolicSet(x.finite, x.tails, None, (), x.base)
         for k in range(100_000):
-            nxt = self.universe.derive(x, p)
-            if nxt == x:
+            if rest.is_empty():
                 return NotInThinCompletion(CycleWitness((p,) * k, k, p, 0))
-            x = nxt
+            rest = self.universe.derive(rest, p)
         raise AssertionError("period-branch chain failed to stabilize")

@@ -23,9 +23,11 @@ Canonical form
 
 Exponents stay symbolic: no operation builds b0**m0, so a tail with a huge
 start exponent costs what a small one does.  Literal GeoTerms and APTerms
-exist only where terms enter (make_set) or leave (the `geos` view, printed
-as geo(b0**q, cp * b0**m0, d, 0), and the `aps` view, one ap(p, r) per
-residue).
+exist only where terms enter (make_set) or leave (the `geos` view of the
+printed terms geo(b0**q, cp * b0**m0, d, 0), and the `aps` view, one
+ap(p, r) per residue).  make_set builds a finite part alone, or a lone
+tail or residue, as it is, as each is canonical already; everything else
+is canonicalized by _normalize.
 """
 
 from __future__ import annotations
@@ -364,12 +366,20 @@ class SymbolicSet:
 
     @property
     def geos(self) -> tuple[GeoTerm, ...]:
-        """The tails as sorted literal terms geo(b0**q, cp * b0**m0, d, 0):
-        the printed view, for repr, JSON and readers of terms."""
+        """The tails as sorted literal terms geo(b0**q, cp * b0**m0, d, 0),
+        for readers of terms.  Unguarded: a huge m0 builds a huge coefficient."""
+        return tuple([GeoTerm(b, c, d) for b, c, d in self._printed_tails(guard=False)])
+
+    def _printed_tails(self, guard: bool = True) -> list[tuple[int, int, int]]:
+        """The tails as sorted (b0**q, cp * b0**m0, d), the printed terms
+        geo(b0**q, cp * b0**m0, d, 0).  With guard, str(10**limit) raises
+        the interpreter's int-to-str ValueError before a coefficient surely
+        too long to print is built."""
         b0 = self.base
-        return tuple(sorted(
-            GeoTerm(b0**q, cp * b0**m0, d) for cp, d, m0, q in self.tails
-        ))
+        limit = sys.get_int_max_str_digits() if guard else 0
+        if limit and any(t[2] > (limit + 1) / math.log10(b0) for t in self.tails):
+            str(10**limit)
+        return sorted([(b0**q, cp * b0**m0, d) for cp, d, m0, q in self.tails])
 
     def window(self, lo: int, hi: int) -> list[int]:
         """Sorted elements in [lo, hi]."""
@@ -535,8 +545,7 @@ class SymbolicSet:
         return {
             "finite": list(self.finite),
             "geo": [
-                {"b": t.base, "c": t.coeff, "d": t.offset, "n0": t.n0}
-                for t in self.geos
+                {"b": b, "c": c, "d": d, "n0": 0} for b, c, d in self._printed_tails()
             ],
             "ap": [{"c": self.period, "d": r} for r in self.residues],
         }
@@ -577,16 +586,10 @@ class SymbolicSet:
         return bound
 
     def __repr__(self) -> str:
-        # str(10**limit) raises for a coefficient cp * b0**m0 surely too long to print
-        limit = sys.get_int_max_str_digits()
-        if limit and any(t[2] > (limit + 1) / math.log10(self.base) for t in self.tails):
-            str(10**limit)
         bits = []
         if self.finite:
             bits.append("{" + ",".join(str(x) for x in self.finite) + "}")
-        bits.extend(
-            f"geo({t.base},{t.coeff},{t.offset},{t.n0})" for t in self.geos
-        )
+        bits.extend(f"geo({b},{c},{d},0)" for b, c, d in self._printed_tails())
         bits.extend(f"ap({self.period},{r})" for r in self.residues)
         return " | ".join(bits) if bits else "{}"
 
@@ -715,13 +718,22 @@ def make_set(
     aps: Iterable[APTerm] = (),
     base: int = DEFAULT_BASE,
 ) -> SymbolicSet:
-    """Normalize raw parts into a canonical SymbolicSet."""
+    """Normalize raw parts into a canonical SymbolicSet.  A finite part
+    alone, one tail alone or one residue alone is canonical already and
+    is built as it is: a tail (cp, d, m0, q) has no lower exponent to
+    extend to, and the residue of ap(c, d) has minimal period c."""
     if base < 2:
         raise ValueError(f"session base must be >= 2, got {base}")
-    return _normalize(
-        base, finite, [_geo_parts(t, base) for t in geos],
-        [(t.modulus, (t.residue,)) for t in aps],
-    )
+    parts = [_geo_parts(t, base) for t in geos]
+    periodic = [(t.modulus, (t.residue,)) for t in aps]
+    finite = sorted(set(finite))
+    if not parts and not periodic:
+        return SymbolicSet(tuple(finite), (), None, (), base)
+    if not finite and len(parts) + len(periodic) == 1:
+        if parts:
+            return SymbolicSet((), (parts[0],), None, (), base)
+        return SymbolicSet((), (), *periodic[0], base)
+    return _normalize(base, finite, parts, periodic)
 
 
 def finite_set(xs: Iterable[int], base: int = DEFAULT_BASE) -> SymbolicSet:

@@ -1,0 +1,78 @@
+"""The period branch of a set with a periodic part, hunted on the remainder.
+
+Engine._hunt_cycle derives only R, the finite part and the tails, and stops
+at the first empty R_k.  These tests read the witness off the full chain
+x, x & (x + p), ... instead, and compare."""
+
+import random
+
+import pytest
+
+from thinlab.dsl import parse_set
+from thinlab.engine import Budget, CycleWitness, Engine, NotInThinCompletion
+from thinlab.symbolic import SymbolicSet, _normalize, ap, finite_set, geo, random_set
+
+
+def _full_chain_witness(x: SymbolicSet) -> CycleWitness:
+    """The witness of the first k with x_(k+1) == x_k on the whole set."""
+    p = x.period
+    for k in range(1000):
+        nxt = x.intersect(x.translate(p))
+        if nxt == x:
+            return CycleWitness((p,) * k, k, p, 0)
+        x = nxt
+    raise AssertionError("the full chain did not stabilize")
+
+
+def _longest_run(rest: SymbolicSet, p: int) -> int:
+    """The longest run y, y - p, ... inside a set with finitely many such
+    runs, read off a window wide enough for the sets tested here."""
+    elems = set(rest.window(-10**6, 10**6))
+    return max((next(i for i in range(len(elems) + 1) if y - i * p not in elems)
+                for y in elems), default=0)
+
+
+def _check(x: SymbolicSet) -> CycleWitness:
+    verdict = Engine().classify(x)
+    assert isinstance(verdict, NotInThinCompletion)
+    assert verdict.witness == _full_chain_witness(x)
+    assert Engine().replay_witness(x, verdict.witness)
+    return verdict.witness
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_remainder_hunt_matches_the_full_chain(seed):
+    rng = random.Random(seed)
+    seen = 0
+    while seen < 40:
+        x = random_set(rng, base=rng.choice([2, 2, 3]), max_geo=4, max_finite=8)
+        if x.period is None:
+            continue
+        seen += 1
+        rest = SymbolicSet(x.finite, x.tails, None, (), x.base)
+        assert rest == _normalize(x.base, x.finite, x.tails, [])
+        _check(x)
+
+
+def test_pure_progression_needs_no_derive():
+    assert _check(ap(6, 1)) == CycleWitness((), 0, 6, 0)
+
+
+def test_tails_whose_offsets_differ_by_the_period():
+    x = geo(2, 1, 0) | geo(2, 1, 6) | geo(2, 1, 12) | ap(6, 1)
+    rest = SymbolicSet(x.finite, x.tails, None, (), x.base)
+    w = _check(x)
+    assert w.ancestor_index == _longest_run(rest, 6) >= 3
+
+
+def test_run_longer_than_the_depth_budget():
+    """{0, 7, ..., 280} is a run of 41 under the period 7, past the default
+    max_depth of 32: the hunt spends no budget, and the witness replays."""
+    text = "{" + ",".join(str(7 * i) for i in range(41)) + "} | ap(7,1)"
+    x = parse_set(text)
+    assert x == finite_set(range(0, 281, 7)) | ap(7, 1)
+    verdict = Engine().classify(x, Budget())
+    assert verdict == NotInThinCompletion(CycleWitness((7,) * 41, 41, 7, 0))
+    assert 41 > Budget().max_depth
+    assert Engine().replay_witness(x, verdict.witness)
+    assert verdict.witness == _full_chain_witness(x)
