@@ -25,9 +25,9 @@ Exponents stay symbolic: no operation builds b0**m0, so a tail with a huge
 start exponent costs what a small one does.  Literal GeoTerms and APTerms
 exist only where terms enter (make_set) or leave (the `geos` view of the
 printed terms geo(b0**q, cp * b0**m0, d, 0), and the `aps` view, one
-ap(p, r) per residue).  make_set builds a finite part alone, or a lone
-tail or residue, as it is, as each is canonical already; everything else
-is canonicalized by _normalize.
+ap(p, r) per residue).  make_set builds a lone tail or a lone residue as
+it is, as each is canonical already; everything else is canonicalized by
+_normalize.
 """
 
 from __future__ import annotations
@@ -718,17 +718,15 @@ def make_set(
     aps: Iterable[APTerm] = (),
     base: int = DEFAULT_BASE,
 ) -> SymbolicSet:
-    """Normalize raw parts into a canonical SymbolicSet.  A finite part
-    alone, one tail alone or one residue alone is canonical already and
-    is built as it is: a tail (cp, d, m0, q) has no lower exponent to
-    extend to, and the residue of ap(c, d) has minimal period c."""
+    """Normalize raw parts into a canonical SymbolicSet.  One tail alone
+    or one residue alone is canonical already and is built as it is: a
+    tail (cp, d, m0, q) has no lower exponent to extend to, and the
+    residue of ap(c, d) has minimal period c."""
     if base < 2:
         raise ValueError(f"session base must be >= 2, got {base}")
     parts = [_geo_parts(t, base) for t in geos]
     periodic = [(t.modulus, (t.residue,)) for t in aps]
-    finite = sorted(set(finite))
-    if not parts and not periodic:
-        return SymbolicSet(tuple(finite), (), None, (), base)
+    finite = list(finite)
     if not finite and len(parts) + len(periodic) == 1:
         if parts:
             return SymbolicSet((), (parts[0],), None, (), base)

@@ -1,8 +1,8 @@
 """The shortcuts of make_set, and the printed view of tails.
 
-make_set builds a finite part alone, a lone tail or a lone residue as it
-is, without _normalize.  These tests hold it to the general canonicalizer
-on a seeded corpus, good arguments and bad, and check that repr and JSON
+make_set builds a lone tail or a lone residue as it is, without
+_normalize.  These tests hold it to the general canonicalizer on a seeded
+corpus, good arguments and bad, and check that repr and JSON
 print the tails as before while refusing at once a coefficient too long to
 print."""
 
@@ -23,8 +23,6 @@ from thinlab.symbolic import (
     _geo_parts,
     _normalize,
     ap,
-    empty_set,
-    finite_set,
     geo,
     make_set,
     random_set,
@@ -82,17 +80,6 @@ def test_ap_matches_the_general_canonicalizer():
         a = ap(c, d, base=base)
         assert a == make_set(aps=[_ap_term(c, d)], base=base)
         assert a == _normalized_ap(c, d, base)
-
-
-def test_finite_part_alone_matches_the_general_canonicalizer():
-    rng = random.Random(19)
-    for _ in range(1000):
-        xs = [rng.randrange(-40, 41) for _ in range(rng.randrange(12))]
-        base = rng.choice([2, 3, 4])
-        a = finite_set(xs, base=base)
-        assert a == _normalize(base, xs, [], [])
-        assert a == make_set(iter(xs), base=base)
-    assert empty_set(3) == _normalize(3, [], [], []) == SymbolicSet(base=3)
 
 
 def test_lone_terms_from_other_entry_points_stay_canonical():
