@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .groups import MAX_ORDER, check_mask, mask_elements, mask_translate
+from .groups import MAX_ORDER, check_mask, mask_elements, mask_orbit, mask_translate
 from .ideals import FiniteSets, SizeAtMost
 from .symbolic import ShiftSpectrum, SymbolicSet
 
@@ -152,12 +152,12 @@ class _Counter:
         self.nodes = 0
         self.deepest: tuple[int, ...] = ()
 
-    def tick(self, budget: Budget, path: tuple[int, ...]) -> None:
+    def tick(self, budget: Budget, shifts: tuple[int, ...], g: int) -> None:
         self.nodes += 1
-        if len(path) > len(self.deepest):
-            self.deepest = path
+        if len(shifts) >= len(self.deepest):
+            self.deepest = shifts + (g,)
         if self.nodes > budget.max_nodes:
-            raise _BudgetStop(len(path), self.nodes, self.deepest)
+            raise _BudgetStop(len(shifts) + 1, self.nodes, self.deepest)
 
 
 def _branches(spectrum: ShiftSpectrum) -> list[tuple[int, SymbolicSet]]:
@@ -264,8 +264,8 @@ class SymbolicUniverse:
 
 
 class FiniteGroupUniverse:
-    """Bitmask subsets of the group of a size-bound family, a group of
-    order at most MAX_ORDER."""
+    """Bitmask subsets of the group of a size-bound family, of order at
+    most MAX_ORDER; children and norm_key read one mask_orbit per node."""
 
     def __init__(self, family: SizeAtMost):
         self.group = family.group
@@ -279,28 +279,26 @@ class FiniteGroupUniverse:
         check_mask(self.group, x)
 
     def in_family(self, x: int) -> bool:
-        return self.family.contains(x)
+        return self.family.fits(x)
 
     def derive(self, x: int, g: int) -> int:
         if g == self.group.identity:
             raise ValueError("derivation shifts must be nonidentity")
         return x & mask_translate(self.group, x, g)
 
-    def children(self, x: int) -> list[tuple[int, int]]:
+    def children(self, x: int) -> Iterable[tuple[int, int]]:
         """(g, x & (g + x)) for every nonidentity g."""
-        return [(g, x & mask_translate(self.group, x, g)) for g in self.group.nonidentity()]
+        return zip(range(1, self.group.order), [x & t for t in mask_orbit(self.group, x)[1:]])
 
     def norm_key(self, x: int) -> int:
-        return min(mask_translate(self.group, x, g) for g in self.group.elements())
+        return min(mask_orbit(self.group, x))
 
     def match_translate(self, x: int, y: int) -> int | None:
         """First g in numeric order with y == g + x, if one exists."""
-        if x.bit_count() != y.bit_count():
-            return None
-        for g in self.group.elements():
-            if mask_translate(self.group, x, g) == y:
-                return g
-        return None
+        self.validate(x)
+        self.validate(y)
+        orbit = mask_orbit(self.group, x)
+        return orbit.index(y) if y in orbit else None
 
     def describe(self, x: int) -> str:
         return "{" + ",".join(str(a) for a in mask_elements(self.group, x)) + "}"
@@ -375,7 +373,8 @@ class TreeDump:
 class Engine:
     """Classifier for one universe.  Verdicts, heights and tree ranks
     belong to the set, not to the path that reached it, so each engine
-    memoizes them across calls; a memo hit spends no budget."""
+    memoizes them across calls; a memo hit spends no budget.  Public methods
+    check their arguments; the recursions take checked sets outside the family."""
 
     def __init__(self, universe: SymbolicUniverse | FiniteGroupUniverse | None = None):
         self.universe = universe if universe is not None else SymbolicUniverse()
@@ -389,6 +388,8 @@ class Engine:
         """Exact hierarchy level, cycle witness, or Unknown."""
         budget = budget if budget is not None else Budget()
         self.universe.validate(x)
+        if self.universe.in_family(x):
+            return ExactLevel(0)
         counter = _Counter()
         try:
             if isinstance(self.universe, SymbolicUniverse):
@@ -414,38 +415,12 @@ class Engine:
         of exact sets, where a child equal to its parent is a cycle.
         Ranks, NOT_WELL_FOUNDED included, are memoized per engine.  A rank
         is constant on a translation orbit, so on Z the memo is keyed by
-        norm_key, a translate; a finite group keeps the exact mask as its
-        key, as its norm_key costs |G| translates per node."""
+        norm_key, a translate; a finite group keys it by the exact mask, one
+        lookup in place of |G| translates, off the orbit minimum classify uses."""
         budget = budget if budget is not None else Budget()
         self.universe.validate(x)
-        counter = _Counter()
-        on_z = isinstance(self.universe, SymbolicUniverse)
-
-        def rec(y, shifts: tuple[int, ...]):
-            if self.universe.in_family(y):
-                return 0
-            key = self.universe.norm_key(y) if on_z else y
-            if key in self._ranks:
-                return self._ranks[key]
-            if len(shifts) >= budget.max_depth:
-                raise _BudgetStop(len(shifts), counter.nodes, shifts)
-            best = 0
-            for g, child in self.universe.children(y):
-                counter.tick(budget, shifts + (g,))
-                if self.universe.in_family(child):
-                    continue
-                r = NOT_WELL_FOUNDED if child == y else rec(child, shifts + (g,))
-                if r is NOT_WELL_FOUNDED:
-                    rank = NOT_WELL_FOUNDED
-                    break
-                best = max(best, r)
-            else:
-                rank = 1 + best
-            self._ranks[key] = rank
-            return rank
-
         try:
-            return rec(x, ())
+            return 0 if self.universe.in_family(x) else self._rank(x, (), budget, _Counter())
         except _BudgetStop as stop:
             return Unknown(stop.depth, stop.nodes, stop.path)
 
@@ -505,17 +480,15 @@ class Engine:
         ancestor = self.derived_set(x, witness.path[:i])
         frame = self.derived_set(ancestor, witness.path[i:])
         child = self.universe.derive(frame, witness.repeat_shift)
-        if self.universe.in_family(ancestor):
-            return False
         if isinstance(self.universe, SymbolicUniverse):
-            return child == ancestor.translate(witness.translation)
-        return child == mask_translate(self.universe.group, ancestor, witness.translation)
+            moved = ancestor.translate(witness.translation)
+        else:
+            moved = mask_translate(self.universe.group, ancestor, witness.translation)
+        return not self.universe.in_family(ancestor) and child == moved
 
     # -- internals --------------------------------------------------------
 
     def _rec(self, x, shifts: tuple[int, ...], budget: Budget, counter: _Counter):
-        if self.universe.in_family(x):
-            return ExactLevel(0)
         key = self.universe.norm_key(x)
         if key in self._memo:
             return self._memo[key]
@@ -524,7 +497,7 @@ class Engine:
 
         child_levels: list[int] = []
         for g, child in self.universe.children(x):
-            counter.tick(budget, shifts + (g,))
+            counter.tick(budget, shifts, g)
             if self.universe.in_family(child):
                 continue
             if child == x:
@@ -543,11 +516,31 @@ class Engine:
         self._memo[key] = verdict
         return verdict
 
+    def _rank(self, y, shifts: tuple[int, ...], budget: Budget, counter: _Counter):
+        """The tree rank of y, a set outside the family; a mask is its own key."""
+        key = y if isinstance(y, int) else self.universe.norm_key(y)
+        if key in self._ranks:
+            return self._ranks[key]
+        if len(shifts) >= budget.max_depth:
+            raise _BudgetStop(len(shifts), counter.nodes, shifts)
+        best = 0
+        for g, child in self.universe.children(y):
+            counter.tick(budget, shifts, g)
+            if self.universe.in_family(child):
+                continue
+            rank = NOT_WELL_FOUNDED if child == y else self._rank(
+                child, shifts + (g,), budget, counter)
+            if rank is NOT_WELL_FOUNDED:
+                break
+            best = max(best, rank)
+        else:
+            rank = 1 + best
+        self._ranks[key] = rank
+        return rank
+
     def _classify_z(self, x: SymbolicSet, budget: Budget, counter: _Counter):
         """The level of a subset of Z by the cube reduction, memoized per
         translation orbit; a set with a periodic part hunts its cycle."""
-        if self.universe.in_family(x):
-            return ExactLevel(0)
         if x.period is not None:
             return self._hunt_cycle(x)
         key = self.universe.norm_key(x)
@@ -578,8 +571,8 @@ class Engine:
                 children.setdefault(b - a, []).append(a)
         best = 0
         for g, child in sorted(children.items(), key=lambda gc: (-len(gc[1]), gc[0])):
-            counter.tick(budget, shifts + (-g,))
-            counter.tick(budget, shifts + (g,))
+            counter.tick(budget, shifts, -g)
+            counter.tick(budget, shifts, g)
             if len(child) > best:
                 best = max(best, self._height(tuple(child), shifts + (-g,), budget, counter))
         self._heights[key] = 1 + best

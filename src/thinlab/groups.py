@@ -72,12 +72,6 @@ class GroupDescriptor:
             return (a + b) % self.n
         return a ^ b
 
-    def inverse(self, a: int) -> int:
-        self._check(a)
-        if self.kind == CYCLIC:
-            return (-a) % self.n
-        return a
-
     def elements(self) -> Iterator[int]:
         """All elements in deterministic (numeric) order."""
         return iter(range(self.order))
@@ -115,22 +109,32 @@ def mask_elements(group: GroupDescriptor, mask: int) -> list[int]:
 
 
 def mask_translate(group: GroupDescriptor, mask: int, g: int) -> int:
-    """Bitmask of {g + a : a in mask} under the group operation.
-
-    On Z/n this rotates the mask left by g bits.  On (Z/2)^d, XOR with a
-    set bit 2^i of g moves each position by 2^i, exchanging the blocks of
-    2^i bits that differ in bit i of their position, so the translate is
-    one block swap per set bit.
-    """
+    """Bitmask of {g + a : a in mask} under the group operation."""
     check_mask(group, mask)
     group._check(g)
+    return _translates(group, mask, range(g, g + 1))[0]
+
+
+def mask_orbit(group: GroupDescriptor, mask: int) -> list[int]:
+    """All |G| translates of a mask already checked, the one by g at index g."""
+    return _translates(group, mask, range(group.order))
+
+
+def _translates(group: GroupDescriptor, mask: int, shifts: range) -> list[int]:
+    """Translates of a checked mask by each shift of a range, in one pass;
+    on (Z/2)^d the range is 2^k shifts from a multiple of 2^k.  On Z/n each
+    is a left rotation, read off the mask written twice over.  On (Z/2)^d,
+    XOR with 2^i swaps blocks of 2^i bits: bits below 2^k double the list."""
     n = group.order
     if group.kind == CYCLIC:
-        return ((mask << g) | (mask >> (n - g))) & ((1 << n) - 1)
+        twice, full = mask | mask << n, (1 << n) - 1
+        return [twice >> (n - s) & full for s in shifts]
+    out = [mask]
     for bit, low in _swap_masks(group.n):
-        if g & bit:
-            mask = ((mask & low) << bit) | ((mask >> bit) & low)
-    return mask
+        if bit < len(shifts) or shifts.start & bit:
+            moved = [(m & low) << bit | (m >> bit) & low for m in out]
+            out = out + moved if bit < len(shifts) else moved
+    return out
 
 
 @cache

@@ -69,6 +69,9 @@ class SizeAtMost:
 
     def contains(self, a: int) -> bool:
         check_mask(self.group, a)
+        return self.fits(a)
+
+    def fits(self, a: int) -> bool:
         return a.bit_count() <= self.t
 
     def describe(self) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import or_
 
 from .engine import (
     Budget,
@@ -43,18 +44,18 @@ _CHUNK_MASK = (1 << _CHUNK) - 1
 def _shift_maps(group: GroupDescriptor) -> dict[int, tuple[list[int], ...]]:
     """For each nonidentity g, one image table per 8-bit chunk of a mask:
     entry v of chunk c is the image under g of the elements 8c + j for
-    the bits j set in v."""
+    the bits j set in v, read off one `group.op` image per element."""
     n = group.order
     maps = {}
     for g in group.nonidentity():
+        bits = [1 << group.op(g, a) for a in range(n)]
         tables = []
         for base in range(0, n, _CHUNK):
             width = min(_CHUNK, n - base)
             table = [0] * (1 << width)
             for v in range(1, 1 << width):
                 low = v & -v
-                a = base + low.bit_length() - 1
-                table[v] = table[v ^ low] | (1 << group.op(g, a))
+                table[v] = table[v ^ low] | bits[base + low.bit_length() - 1]
             tables.append(table)
         maps[g] = tuple(tables)
     return maps
@@ -113,17 +114,18 @@ def build_table(group: GroupDescriptor, family: SizeAtMost) -> OracleTable:
     translation orbit of m with its level is exact because the family is
     translation-invariant and derivation commutes with translation."""
     if group.order > MAX_ORDER:
-        raise ValueError(
-            f"subset lattice 2^{group.order} exceeds 2^{MAX_ORDER}"
-        )
+        raise ValueError(f"subset lattice 2^{group.order} exceeds 2^{MAX_ORDER}")
     if family.group != group:
         raise ValueError("family is defined over a different group")
-    shifts = tuple(_shift_maps(group).values())
+    # chunks[c][v]: the images of value v of chunk c under every shift
+    chunks = [list(zip(*tables)) for tables in zip(*_shift_maps(group).values())]
     levels: list[int | None] = [None] * (1 << group.order)
     for m in range(len(levels)):
         if levels[m] is not None:
             continue
-        images = [_translate(m, tables) for tables in shifts]
+        images = chunks[0][m & _CHUNK_MASK]
+        for c in range(1, len(chunks)):
+            images = list(map(or_, images, chunks[c][m >> _CHUNK * c & _CHUNK_MASK]))
         level = 0
         if not family.contains(m):
             level = 1
@@ -205,6 +207,7 @@ def cross_check(table: OracleTable, budget: Budget | None = None) -> CrossCheckR
     levels, bottom verdicts, tree ranks, and witness replays against the
     table."""
     engine = Engine(FiniteGroupUniverse(table.family))
+    budget = budget if budget is not None else Budget()
     mismatches: list[tuple] = []
     total = 1 << table.group.order
     for m in range(total):
@@ -212,10 +215,7 @@ def cross_check(table: OracleTable, budget: Budget | None = None) -> CrossCheckR
         rank = engine.tree_rank(m, budget)
         expected = table.levels[m]
         if isinstance(verdict, ExactLevel):
-            ok = (
-                expected == verdict.level
-                and rank == verdict.level
-            )
+            ok = expected == verdict.level == rank
         elif isinstance(verdict, NotInThinCompletion):
             ok = (
                 expected == BOTTOM
@@ -226,9 +226,7 @@ def cross_check(table: OracleTable, budget: Budget | None = None) -> CrossCheckR
             ok = False
         if not ok:
             mismatches.append((m, expected, verdict, rank))
-    return CrossCheckReport(
-        table.group, table.family.t, total, tuple(mismatches)
-    )
+    return CrossCheckReport(table.group, table.family.t, total, tuple(mismatches))
 
 
 def boolean_non_additivity_witness(

@@ -319,14 +319,10 @@ def _normalize(
         tails.extend((cp, d, m0, q) for m0, q in fam_tails)
         pool.update(cp * base**m + d for m in leftovers)
 
-    kept = [
-        x for x in pool
-        if not (p is not None and x % p in resset)
-        and not any(_in_tail(x, t, base) for t in tails)
-    ]
-    return SymbolicSet(
-        tuple(sorted(kept)), tuple(sorted(tails)), p, tuple(residues), base
-    )
+    kept = [x for x in pool if p is None or x % p not in resset]
+    if tails:
+        kept = [x for x in kept if not any(_in_tail(x, t, base) for t in tails)]
+    return SymbolicSet(tuple(sorted(kept)), tuple(sorted(tails)), p, tuple(residues), base)
 
 
 @dataclass(frozen=True)
@@ -344,11 +340,13 @@ class SymbolicSet:
     # -- queries ---------------------------------------------------------
 
     def member(self, x: int) -> bool:
-        if x in self.finite:
-            return True
-        if self.period is not None and x % self.period in self.residues:
-            return True
-        return any(_in_tail(x, t, self.base) for t in self.tails)
+        return x in self.finite or bool(self._in_terms((x,)))
+
+    def _in_terms(self, xs: Iterable[int]) -> set[int]:
+        """The elements of xs that lie in the periodic part or a tail."""
+        p, rs, tails = self.period, self.residues, self.tails
+        return {x for x in xs if p is not None and x % p in rs
+                or tails and any(_in_tail(x, t, self.base) for t in tails)}
 
     def __contains__(self, x: int) -> bool:
         return self.member(x)
@@ -448,8 +446,9 @@ class SymbolicSet:
 
     def intersect(self, other: "SymbolicSet") -> "SymbolicSet":
         b0 = self._common_base(other)
-        fin = {x for x in self.finite if other.member(x)}
-        fin.update(x for x in other.finite if self.member(x))
+        fin = set(self.finite).intersection(other.finite)
+        fin |= other._in_terms(self.finite)
+        fin |= self._in_terms(other.finite)
         tails: list[Tail] = []
 
         for periodic, parts in ((self, other.tails), (other, self.tails)):

@@ -613,7 +613,7 @@ def test_finite_group_tree_dump_labels_and_ranks(group, top):
     ids=lambda g: g.describe(),
 )
 def test_group_match_translate_agrees_with_search_over_all_shifts(group):
-    """The size filter in match_translate never hides a translate."""
+    """match_translate finds the first shift of every translate, and no other."""
     universe = FiniteGroupUniverse(SizeAtMost(group, 1))
     n = group.order
 

@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
-from thinlab.engine import Engine, FiniteGroupUniverse
+from thinlab.engine import CycleWitness, Engine, FiniteGroupUniverse
 from thinlab.groups import (
     GroupDescriptor,
     check_mask,
     mask_elements,
     mask_of,
+    mask_orbit,
     mask_translate,
 )
 from thinlab.ideals import SizeAtMost
@@ -34,17 +37,11 @@ def test_op_examples():
     assert B3.op(0b101, 0b011) == 0b110
 
 
-def test_inverse_examples():
-    assert Z5.inverse(2) == 3
-    for x in B3.elements():
-        assert B3.inverse(x) == x
-
-
 def test_element_range_enforced():
     with pytest.raises(ValueError):
         Z5.op(5, 0)
     with pytest.raises(ValueError):
-        B3.inverse(8)
+        B3.op(0, 8)
     with pytest.raises(ValueError):
         Z5.op(-1, 2)
 
@@ -71,7 +68,7 @@ def test_group_axioms_random_triples(group, rng):
         assert group.op(group.op(a, b), c) == group.op(a, group.op(b, c))
         assert group.op(a, e) == a
         assert group.op(e, a) == a
-        assert group.op(a, group.inverse(a)) == e
+        assert any(group.op(a, b) == e for b in group.elements())
 
 
 def test_boolean_self_inverse_exhaustive():
@@ -79,7 +76,6 @@ def test_boolean_self_inverse_exhaustive():
         group = GroupDescriptor.boolean_power(d)
         for x in group.elements():
             assert group.op(x, x) == group.identity
-            assert group.inverse(x) == x
 
 
 def test_mask_round_trip():
@@ -138,6 +134,41 @@ def test_mask_translate_random_large(group, rng):
         assert mask_translate(group, mask, g) == _translate_by_op(group, mask, g)
 
 
+SMALL_GROUPS = [GroupDescriptor.cyclic(n) for n in range(2, 11)] + [
+    GroupDescriptor.boolean_power(d) for d in range(1, 4)
+]
+
+
+def _orbit_matches_checked_path(group, masks):
+    """The unchecked orbit, and the engine's children and norm_key read
+    off it, against the checked mask_translate one shift at a time."""
+    universe = FiniteGroupUniverse(SizeAtMost(group, 1))
+    for mask in masks:
+        slow = [mask_translate(group, mask, g) for g in group.elements()]
+        assert mask_orbit(group, mask) == slow
+        assert list(universe.children(mask)) == [
+            (g, mask & slow[g]) for g in group.nonidentity()
+        ]
+        assert universe.norm_key(mask) == min(slow)
+        assert universe.match_translate(mask, slow[-1]) == slow.index(slow[-1])
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.describe())
+def test_orbit_matches_checked_translate_exhaustive(group):
+    _orbit_matches_checked_path(group, range(1 << group.order))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [GroupDescriptor.cyclic(16), GroupDescriptor.boolean_power(4)],
+    ids=lambda g: g.describe(),
+)
+def test_orbit_matches_checked_translate_sampled(group):
+    full = (1 << group.order) - 1
+    sample = random.Random(16).sample(range(full + 1), 400)
+    _orbit_matches_checked_path(group, [0, full] + sample)
+
+
 @pytest.mark.parametrize("group", [Z5, B3], ids=lambda g: g.describe())
 def test_mask_translate_validation(group):
     n = group.order
@@ -162,6 +193,9 @@ def test_every_mask_entry_point_keeps_one_rule(group):
     entry_points = [
         engine.classify,
         engine.tree_rank,
+        engine.is_thin,
+        engine.tree_dump,
+        lambda m: engine.replay_witness(m, CycleWitness((), 0, 1, 0)),
         lambda m: engine.derived_set(m, [1]),
         SizeAtMost(group, 1).contains,
         lambda m: mask_translate(group, m, 1),
@@ -177,3 +211,27 @@ def test_every_mask_entry_point_keeps_one_rule(group):
                 call(bad)
     with pytest.raises(ValueError, match="unknown group kind"):
         GroupDescriptor("integers")
+
+
+@pytest.mark.parametrize("group", [Z5, B3], ids=lambda g: g.describe())
+def test_every_shift_entry_point_checks_its_shift(group):
+    """A shift is a group element: derived_set, and replay_witness for a
+    shift on the path, the repeat shift and the translation, raise
+    TypeError on a bool or a float and ValueError out of range."""
+    engine = Engine(FiniteGroupUniverse(SizeAtMost(group, 1)))
+    mask = 0b111
+    entry_points = [
+        lambda g: engine.derived_set(mask, [g]),
+        lambda g: engine.derived_set(mask, [1, g]),
+        lambda g: engine.replay_witness(mask, CycleWitness((g,), 1, 1, 0)),
+        lambda g: engine.replay_witness(mask, CycleWitness((), 0, g, 0)),
+        lambda g: engine.replay_witness(mask, CycleWitness((1,), 1, 1, g)),
+        lambda g: engine.universe.derive(mask, g),
+    ]
+    for call in entry_points:
+        for bad in (True, 1.0):
+            with pytest.raises(TypeError, match="expected a group element"):
+                call(bad)
+        for bad in (-1, group.order):
+            with pytest.raises(ValueError, match="not in"):
+                call(bad)

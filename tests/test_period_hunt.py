@@ -76,3 +76,14 @@ def test_run_longer_than_the_depth_budget():
     assert 41 > Budget().max_depth
     assert Engine().replay_witness(x, verdict.witness)
     assert verdict.witness == _full_chain_witness(x)
+
+
+def test_long_run_meets_finite_parts_by_hash():
+    """{0, 7, ..., 7 * 1599} | ap(7, 1): each derive meets two finite parts
+    of up to 1600 elements, by hash lookup, so the hunt and the replay stay
+    near-linear per step."""
+    n = 1600
+    x = finite_set(range(0, 7 * n, 7)) | ap(7, 1)
+    verdict = Engine().classify(x)
+    assert verdict == NotInThinCompletion(CycleWitness((7,) * n, n, 7, 0))
+    assert Engine().replay_witness(x, verdict.witness)

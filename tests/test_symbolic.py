@@ -757,3 +757,18 @@ def test_residue_meet_matches_pairwise_crt():
             ]
             m, residues = _residue_meet(p1, a, p2, b)
             assert sorted((r, m) for r in residues) == sorted(pairwise)
+
+
+def test_finite_parts_meet_by_hash_and_terms(rng):
+    """The finite part of a & b is the common finite elements plus each
+    finite element that lies in the other set's terms: against the
+    element-by-element reference, on sets that share finite elements and
+    hold finite elements inside each other's progressions and tails."""
+    for _ in range(200):
+        a, b = random_set(rng), random_set(rng)
+        shared = finite_set(rng.sample(range(-30, 31), rng.randrange(0, 6)))
+        a, b = a | shared, b | shared
+        a = a | finite_set(b.window(-40, 40)[: rng.randrange(0, 4)])
+        b = b | finite_set(a.window(-40, 40)[: rng.randrange(0, 4)])
+        assert a & b == _reference_intersect(a, b)
+        assert set(shared.finite) <= set((a & b).window(-30, 30))
