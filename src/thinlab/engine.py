@@ -20,8 +20,8 @@ Two universes are supported: SymbolicUniverse(), symbolic subsets of Z
 over the family of finite sets, and FiniteGroupUniverse(family), bitmask
 subsets of the group of a size-bound family, of order at most
 groups.MAX_ORDER.  Levels, witnesses and ranks are invariant under
-translating the root, so classification results, and on Z tree ranks,
-are memoized per translation orbit.
+translating the root, so classification results and tree ranks are
+memoized per translation orbit on both universes.
 
 Derived sets only shrink along a path, and a set that contains a translate
 of itself equals it (in a finite group both have the same size; on Z the
@@ -206,6 +206,13 @@ def _offset_sets(x: SymbolicSet) -> set[tuple[int, ...]]:
     return out
 
 
+def _check_shift(g: int) -> None:
+    """Raise TypeError unless a shift of Z is a plain int (so not a bool),
+    the rule a finite group applies to its elements."""
+    if type(g) is not int:
+        raise TypeError(f"expected an integer shift, got {type(g).__name__}")
+
+
 class SymbolicUniverse:
     """Symbolic subsets of Z over the family of finite sets."""
 
@@ -218,7 +225,12 @@ class SymbolicUniverse:
     def in_family(self, x: SymbolicSet) -> bool:
         return self.family.contains(x)
 
+    def translate(self, x: SymbolicSet, g: int) -> SymbolicSet:
+        _check_shift(g)
+        return x.translate(g)
+
     def derive(self, x: SymbolicSet, g: int) -> SymbolicSet:
+        _check_shift(g)
         if g == 0:
             raise ValueError("derivation shifts must be nonzero")
         return x.intersect(x.translate(g))
@@ -265,7 +277,9 @@ class SymbolicUniverse:
 
 class FiniteGroupUniverse:
     """Bitmask subsets of the group of a size-bound family, of order at
-    most MAX_ORDER; children and norm_key read one mask_orbit per node."""
+    most MAX_ORDER.  children and norm_key read one unchecked mask_orbit
+    per node; norm_key, the least mask of the orbit, keys both the verdict
+    and the rank memo.  translate and derive check the mask and the shift."""
 
     def __init__(self, family: SizeAtMost):
         self.group = family.group
@@ -280,6 +294,9 @@ class FiniteGroupUniverse:
 
     def in_family(self, x: int) -> bool:
         return self.family.fits(x)
+
+    def translate(self, x: int, g: int) -> int:
+        return mask_translate(self.group, x, g)
 
     def derive(self, x: int, g: int) -> int:
         if g == self.group.identity:
@@ -414,9 +431,8 @@ class Engine:
         Unknown.  Independent of classify: plain recursion over branches
         of exact sets, where a child equal to its parent is a cycle.
         Ranks, NOT_WELL_FOUNDED included, are memoized per engine.  A rank
-        is constant on a translation orbit, so on Z the memo is keyed by
-        norm_key, a translate; a finite group keys it by the exact mask, one
-        lookup in place of |G| translates, off the orbit minimum classify uses."""
+        is constant on a translation orbit, so on both universes the memo is
+        keyed by norm_key, apart from classify's memo."""
         budget = budget if budget is not None else Budget()
         self.universe.validate(x)
         try:
@@ -480,10 +496,7 @@ class Engine:
         ancestor = self.derived_set(x, witness.path[:i])
         frame = self.derived_set(ancestor, witness.path[i:])
         child = self.universe.derive(frame, witness.repeat_shift)
-        if isinstance(self.universe, SymbolicUniverse):
-            moved = ancestor.translate(witness.translation)
-        else:
-            moved = mask_translate(self.universe.group, ancestor, witness.translation)
+        moved = self.universe.translate(ancestor, witness.translation)
         return not self.universe.in_family(ancestor) and child == moved
 
     # -- internals --------------------------------------------------------
@@ -517,8 +530,9 @@ class Engine:
         return verdict
 
     def _rank(self, y, shifts: tuple[int, ...], budget: Budget, counter: _Counter):
-        """The tree rank of y, a set outside the family; a mask is its own key."""
-        key = y if isinstance(y, int) else self.universe.norm_key(y)
+        """The tree rank of y, a set outside the family, memoized per
+        translation orbit."""
+        key = self.universe.norm_key(y)
         if key in self._ranks:
             return self._ranks[key]
         if len(shifts) >= budget.max_depth:

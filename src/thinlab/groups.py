@@ -109,31 +109,31 @@ def mask_elements(group: GroupDescriptor, mask: int) -> list[int]:
 
 
 def mask_translate(group: GroupDescriptor, mask: int, g: int) -> int:
-    """Bitmask of {g + a : a in mask} under the group operation."""
+    """Bitmask of {g + a : a in mask} under the group operation: on Z/n a
+    left rotation by g, on (Z/2)^d one block swap per set bit of g."""
     check_mask(group, mask)
     group._check(g)
-    return _translates(group, mask, range(g, g + 1))[0]
+    if group.kind == CYCLIC:
+        n = group.n
+        return (mask << g | mask >> (n - g)) & ((1 << n) - 1)
+    for bit, low in _swap_masks(group.n):
+        if g & bit:
+            mask = (mask & low) << bit | (mask >> bit) & low
+    return mask
 
 
 def mask_orbit(group: GroupDescriptor, mask: int) -> list[int]:
-    """All |G| translates of a mask already checked, the one by g at index g."""
-    return _translates(group, mask, range(group.order))
-
-
-def _translates(group: GroupDescriptor, mask: int, shifts: range) -> list[int]:
-    """Translates of a checked mask by each shift of a range, in one pass;
-    on (Z/2)^d the range is 2^k shifts from a multiple of 2^k.  On Z/n each
-    is a left rotation, read off the mask written twice over.  On (Z/2)^d,
-    XOR with 2^i swaps blocks of 2^i bits: bits below 2^k double the list."""
+    """All |G| translates of a mask already checked, the one by g at index
+    g, in one pass.  On Z/n each is a left rotation, read off the mask
+    written twice over.  On (Z/2)^d, XOR with 2^i swaps blocks of 2^i bits,
+    so each bit doubles the list."""
     n = group.order
     if group.kind == CYCLIC:
         twice, full = mask | mask << n, (1 << n) - 1
-        return [twice >> (n - s) & full for s in shifts]
+        return [twice >> (n - g) & full for g in range(n)]
     out = [mask]
     for bit, low in _swap_masks(group.n):
-        if bit < len(shifts) or shifts.start & bit:
-            moved = [(m & low) << bit | (m >> bit) & low for m in out]
-            out = out + moved if bit < len(shifts) else moved
+        out += [(m & low) << bit | (m >> bit) & low for m in out]
     return out
 
 

@@ -565,25 +565,6 @@ class SymbolicSet:
     def from_json(text: str, base: int = DEFAULT_BASE) -> "SymbolicSet":
         return SymbolicSet.from_json_dict(json.loads(text), base=base)
 
-    def finite_intersection_bound(self, gmax: int) -> int:
-        """Upper bound for |A & (g + A)| over every shift 0 < |g| <= gmax
-        outside the shift spectrum."""
-        nf = len(self.finite)
-        bound = nf
-        for _, d1, _, _ in self.tails:
-            for _, d2, _, _ in self.tails:
-                mag = abs(d1) + abs(d2) + gmax + 1
-                vmax = 0
-                while self.base**vmax <= mag:
-                    vmax += 1
-                bound += 2 * (vmax + 1)
-        bound += 2 * nf * len(self.tails)
-        if self.period is not None:
-            u, _ = _powmod_orbit(self.base, self.period)
-            bound += 2 * nf
-            bound += 2 * len(self.tails) * len(self.residues) * max(u, 1)
-        return bound
-
     def __repr__(self) -> str:
         bits = []
         if self.finite:

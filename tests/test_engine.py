@@ -357,37 +357,32 @@ def test_tree_rank_matches_level(rng):
         assert eng.tree_rank(a) == v.level
 
 
-def test_tree_rank_memoized_per_orbit_on_z():
-    """A translate of a ranked set is a memo hit: the same rank, no new
-    memo entry and no node spent, where a fresh engine runs out."""
+def test_tree_rank_memoized_per_orbit():
+    """On both universes a translate of a ranked set is a memo hit: the same
+    rank, no new memo entry and no node spent, where a fresh engine runs out."""
     from thinlab.bounds import escalate
 
     starved = Budget(max_nodes=1, max_depth=1)
+    z = SymbolicUniverse()
+    z8 = FiniteGroupUniverse(SizeAtMost(GroupDescriptor.cyclic(8), 1))
+    b3 = FiniteGroupUniverse(SizeAtMost(GroupDescriptor.boolean_power(3), 1))
+    assert Engine(z8).tree_rank(0b0010_1101) == 3
+    assert Engine(b3).tree_rank(0b0101) is NOT_WELL_FOUNDED
     sets = [TWO_TAILS, escalate(escalate(escalate(A))), ap(3, 2) | A, ap(5, 1) | TWO_TAILS]
-    for a in sets:
-        eng = Engine()
+    cases = [(z, a, (10**12 + 7, -(3**40))) for a in sets] + [
+        (z8, 0b0010_1101, (3, 5)),
+        (b3, 0b0101, (1, 6)),
+    ]
+    for universe, a, shifts in cases:
+        eng = Engine(universe)
         rank = eng.tree_rank(a)
         size = len(eng._ranks)
-        for shift in (10**12 + 7, -(3**40)):
-            moved = a.translate(shift)
-            assert isinstance(Engine().tree_rank(moved, starved), Unknown), a
+        for shift in shifts:
+            moved = universe.translate(a, shift)
+            assert moved != a
+            assert isinstance(Engine(universe).tree_rank(moved, starved), Unknown), a
             assert eng.tree_rank(moved, starved) == rank, a
             assert len(eng._ranks) == size, a
-
-
-def test_tree_rank_memoized_per_mask_on_finite_groups():
-    """On a finite group the rank memo keeps the exact mask as its key: a
-    translate of a ranked mask is ranked again, as a new entry."""
-    group = GroupDescriptor.cyclic(8)
-    eng = Engine(FiniteGroupUniverse(SizeAtMost(group, 1)))
-    mask = 0b0010_1101
-    assert eng.tree_rank(mask) == 3
-    assert mask in eng._ranks
-    size = len(eng._ranks)
-    moved = mask_translate(group, mask, 3)
-    assert moved not in eng._ranks
-    assert eng.tree_rank(moved) == 3
-    assert moved in eng._ranks and len(eng._ranks) > size
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +545,31 @@ def test_symbolic_universe_rejects_bad_sets_and_the_zero_shift():
             eng.classify(bad)
     with pytest.raises(ValueError, match="derivation shifts must be nonzero"):
         eng.derived_set(A, [0])
+
+
+def test_every_shift_entry_point_checks_its_shift_on_z():
+    """A shift of Z is a plain int, the rule a finite group applies to its
+    elements: derived_set, replay_witness for a shift on the path, the
+    repeat shift and the translation, and the universe's derive and
+    translate raise TypeError on a bool or a float, integral or not."""
+    eng = Engine()
+    a = ap(2, 0) | A
+    entry_points = [
+        lambda g: eng.derived_set(a, [g]),
+        lambda g: eng.derived_set(a, [1, g]),
+        lambda g: eng.replay_witness(a, CycleWitness((g,), 1, 2, 0)),
+        lambda g: eng.replay_witness(a, CycleWitness((), 0, g, 0)),
+        lambda g: eng.replay_witness(a, CycleWitness((2,), 1, 2, g)),
+        lambda g: eng.universe.derive(a, g),
+        lambda g: eng.universe.translate(a, g),
+    ]
+    for call in entry_points:
+        for bad in (True, 1.5, 2.0):
+            with pytest.raises(TypeError, match="expected an integer shift"):
+                call(bad)
+    with pytest.raises(ValueError, match="derivation shifts must be nonzero"):
+        eng.universe.derive(a, 0)
+    assert eng.replay_witness(ap(2, 0), CycleWitness((), 0, 2, 0))
 
 
 def test_finite_group_universe_constructor_errors():

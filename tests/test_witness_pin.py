@@ -8,8 +8,9 @@ where the cube reduction's traversal stops, so their Unknown fields are
 pinned on their own, next to checks that hold for any traversal: a
 starved verdict is Unknown or the default one, stays within its budget,
 and reports a path whose derived set is infinite.  tree_rank is pinned on
-a fresh engine per call, next to what an engine shared across calls may
-change: only a starved Unknown, into the default budget's rank.
+a fresh engine per call, next to the same checks for its starved ranks
+and to what an engine shared across calls may change: only a starved
+Unknown, into the default budget's rank.
 """
 
 import functools
@@ -28,7 +29,7 @@ GROUPS = [GroupDescriptor.cyclic(n) for n in range(2, 9)] + [
 FINITE_DIGEST = "4f98b300e29ea2ee7c4efb5b578b562876ec9ec3108beba863e0f81504960195"
 SYMBOLIC_DIGEST = "bd28d83092c0f54062aebabdfce1cd983b8f2b65c0cbd4cadbe04f0ff544764b"
 STARVED_DIGEST = "20514821a2f5736df11e08299fd076c663c6b1a53a40cbb58aa81a435673625e"
-RANK_DIGEST = "98dccc8c89bad748d466040b5aaef67d929d9af3a5c797789f70cbb52b69ff62"
+RANK_DIGEST = "fa4bd61ca20d5b3047cb6db43f29d98771b6ed88c7d6a211b0fdc2a6b9ce7fb1"
 STARVED = (Budget(max_nodes=3), Budget(max_depth=1))
 RANK_BUDGETS = (Budget(),) + STARVED + (Budget(max_nodes=40),)
 
@@ -116,13 +117,35 @@ def fresh_ranks(budget):
 
 def test_tree_rank_pinned():
     """Ranks and Unknown fields, recorded from a recursion that matched
-    every node against every ancestor and kept its memo for one call."""
+    every node against every ancestor and kept its memo for one call.  The
+    Budget(max_nodes=40) lines were recorded again once that memo was keyed
+    per translation orbit: a translate met again within one call spends no
+    budget, so the run stops at another node or not at all."""
     lines = (
         f"{k} {budget!r} {rank!r}"
         for budget in RANK_BUDGETS
         for k, rank in enumerate(fresh_ranks(budget))
     )
     assert _digest(lines) == RANK_DIGEST
+
+
+def test_starved_ranks_are_unknown_or_default():
+    """A fresh rank under any budget is the default budget's rank, or an
+    Unknown that stays within its budget and stopped below a node outside
+    the family."""
+    default = fresh_ranks(Budget())
+    stops = 0
+    for budget in RANK_BUDGETS:
+        for (u, x), rank, expected in zip(rank_corpus(), fresh_ranks(budget), default):
+            if not isinstance(rank, Unknown):
+                assert rank == expected, (u, x, budget)
+                continue
+            stops += 1
+            assert rank.nodes_used <= budget.max_nodes + 1, (u, x, budget)
+            assert rank.depth_reached <= budget.max_depth, (u, x, budget)
+            node = Engine(u).derived_set(x, rank.deepest_path[:-1])
+            assert not u.in_family(node), (u, x, budget)
+    assert stops > 0
 
 
 def test_shared_engine_ranks_are_fresh_or_default():
