@@ -357,32 +357,44 @@ def test_tree_rank_matches_level(rng):
         assert eng.tree_rank(a) == v.level
 
 
-def test_tree_rank_memoized_per_orbit():
-    """On both universes a translate of a ranked set is a memo hit: the same
-    rank, no new memo entry and no node spent, where a fresh engine runs out."""
+def test_tree_rank_memoized_per_orbit_on_z():
+    """A translate of a ranked set is a memo hit: the same rank, no new
+    memo entry and no node spent, where a fresh engine runs out."""
     from thinlab.bounds import escalate
 
     starved = Budget(max_nodes=1, max_depth=1)
-    z = SymbolicUniverse()
-    z8 = FiniteGroupUniverse(SizeAtMost(GroupDescriptor.cyclic(8), 1))
-    b3 = FiniteGroupUniverse(SizeAtMost(GroupDescriptor.boolean_power(3), 1))
-    assert Engine(z8).tree_rank(0b0010_1101) == 3
-    assert Engine(b3).tree_rank(0b0101) is NOT_WELL_FOUNDED
+    universe = SymbolicUniverse()
     sets = [TWO_TAILS, escalate(escalate(escalate(A))), ap(3, 2) | A, ap(5, 1) | TWO_TAILS]
-    cases = [(z, a, (10**12 + 7, -(3**40))) for a in sets] + [
-        (z8, 0b0010_1101, (3, 5)),
-        (b3, 0b0101, (1, 6)),
-    ]
-    for universe, a, shifts in cases:
+    for a in sets:
         eng = Engine(universe)
         rank = eng.tree_rank(a)
         size = len(eng._ranks)
-        for shift in shifts:
+        for shift in (10**12 + 7, -(3**40)):
             moved = universe.translate(a, shift)
             assert moved != a
             assert isinstance(Engine(universe).tree_rank(moved, starved), Unknown), a
             assert eng.tree_rank(moved, starved) == rank, a
             assert len(eng._ranks) == size, a
+
+
+def test_tree_rank_memoized_per_mask_on_finite_groups():
+    """On a finite group the rank memo holds one entry per translation orbit:
+    a translate of a ranked mask is a memo hit, with the same rank, no new
+    entry and no node spent, where a fresh engine runs out."""
+    starved = Budget(max_nodes=1, max_depth=1)
+    z8 = FiniteGroupUniverse(SizeAtMost(GroupDescriptor.cyclic(8), 1))
+    b3 = FiniteGroupUniverse(SizeAtMost(GroupDescriptor.boolean_power(3), 1))
+    cases = [(z8, 0b0010_1101, 3, (3, 5)), (b3, 0b0101, NOT_WELL_FOUNDED, (1, 6))]
+    for universe, mask, rank, shifts in cases:
+        eng = Engine(universe)
+        assert eng.tree_rank(mask) == rank
+        size = len(eng._ranks)
+        for shift in shifts:
+            moved = mask_translate(universe.group, mask, shift)
+            assert moved != mask
+            assert isinstance(Engine(universe).tree_rank(moved, starved), Unknown), mask
+            assert eng.tree_rank(moved, starved) == rank, mask
+            assert len(eng._ranks) == size, mask
 
 
 # ---------------------------------------------------------------------------
