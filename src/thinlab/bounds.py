@@ -85,19 +85,18 @@ def c_of_n(n: int, entry_bound: int = 3) -> int:
 
 @dataclass
 class CFunction:
-    """c with exact values searched for small arguments and the quadratic
-    upper bound substituted above the search limit (recorded in
-    `bounded_args` so callers can flag inexactness)."""
+    """c with exact values searched for arguments up to
+    `SEARCH_EXACT_LIMIT` and the quadratic upper bound substituted above it
+    (recorded in `bounded_args` so callers can flag inexactness)."""
 
     entry_bound: int = 3
-    exact_limit: int = SEARCH_EXACT_LIMIT
-    cache: dict = field(default_factory=dict)
-    bounded_args: list = field(default_factory=list)
+    cache: dict = field(default_factory=dict, init=False)
+    bounded_args: list = field(default_factory=list, init=False)
 
     def __call__(self, n: int) -> int:
         if n in self.cache:
             return self.cache[n]
-        if n <= self.exact_limit:
+        if n <= SEARCH_EXACT_LIMIT:
             value = c_of_n(n, self.entry_bound)
         else:
             value = (n - 1) ** 2 + 1

@@ -31,9 +31,6 @@ class FiniteSets:
             raise TypeError(f"FiniteSets tests symbolic subsets of Z, got {type(a).__name__}")
         return a.is_finite()
 
-    def describe(self) -> str:
-        return "finite subsets of Z"
-
     # sampling hooks for axiom checking
 
     def _random_member(self, rng: random.Random) -> SymbolicSet:
@@ -73,9 +70,6 @@ class SizeAtMost:
 
     def fits(self, a: int) -> bool:
         return a.bit_count() <= self.t
-
-    def describe(self) -> str:
-        return f"subsets of {self.group.describe()} with at most {self.t} elements"
 
     def _random_member(self, rng: random.Random) -> int:
         n = self.group.order

@@ -11,11 +11,13 @@ its parent.  Derivation commutes with translation,
 translation-invariant, so a level is constant on each translation orbit:
 the first mask of an orbit fills all of it.
 
-The oracle intentionally shares no code with the classification engine:
-children are recomputed from the group operation directly, and an
-independent depth-first recursion (`recursive_levels`), which assumes
-neither the order nor the orbits, re-derives the same table.  `cross_check`
-runs the engine over every subset and compares.
+The oracle intentionally shares no code with the classification engine.
+Every translate it uses, in `build_table`, `recursive_levels` and
+`boolean_non_additivity_witness` alike, comes from one table built from
+`group.op` (`_image_tables`, read through `_images`).  An independent
+depth-first recursion (`recursive_levels`), which assumes neither the
+order nor the orbits, re-derives the same table, and `cross_check` runs
+the engine over every subset and compares.
 """
 
 from __future__ import annotations
@@ -41,32 +43,33 @@ _CHUNK = 8
 _CHUNK_MASK = (1 << _CHUNK) - 1
 
 
-def _shift_maps(group: GroupDescriptor) -> dict[int, tuple[list[int], ...]]:
-    """For each nonidentity g, one image table per 8-bit chunk of a mask:
-    entry v of chunk c is the image under g of the elements 8c + j for
-    the bits j set in v, read off one `group.op` image per element."""
+def _image_tables(group: GroupDescriptor) -> list[list[tuple[int, ...]]]:
+    """One table per 8-bit chunk of a mask: entry v of chunk c is the tuple
+    of the images of the elements 8c + j, for the bits j set in v, under
+    every nonidentity shift g, at index g - 1.  Each image of an element is
+    read off one `group.op` call."""
     n = group.order
-    maps = {}
-    for g in group.nonidentity():
-        bits = [1 << group.op(g, a) for a in range(n)]
-        tables = []
-        for base in range(0, n, _CHUNK):
-            width = min(_CHUNK, n - base)
-            table = [0] * (1 << width)
-            for v in range(1, 1 << width):
-                low = v & -v
-                table[v] = table[v ^ low] | bits[base + low.bit_length() - 1]
-            tables.append(table)
-        maps[g] = tuple(tables)
-    return maps
+    shifts = list(group.nonidentity())
+    bits = [[1 << group.op(g, a) for g in shifts] for a in range(n)]
+    tables = []
+    for base in range(0, n, _CHUNK):
+        table = [(0,) * len(shifts)]
+        for v in range(1, 1 << min(_CHUNK, n - base)):
+            low = v & -v
+            lowest = bits[base + low.bit_length() - 1]
+            table.append(tuple(map(or_, table[v ^ low], lowest)))
+        tables.append(table)
+    return tables
 
 
-def _translate(mask: int, tables: tuple[list[int], ...]) -> int:
-    out = 0
-    for table in tables:
-        out |= table[mask & _CHUNK_MASK]
+def _images(mask: int, tables: list[list[tuple[int, ...]]]) -> list[int]:
+    """The translates of a mask under every nonidentity shift g, at index
+    g - 1, as the OR of its chunks' images."""
+    images = tables[0][mask & _CHUNK_MASK]
+    for table in tables[1:]:
         mask >>= _CHUNK
-    return out
+        images = map(or_, images, table[mask & _CHUNK_MASK])
+    return list(images)
 
 
 @dataclass(frozen=True)
@@ -117,15 +120,12 @@ def build_table(group: GroupDescriptor, family: SizeAtMost) -> OracleTable:
         raise ValueError(f"subset lattice 2^{group.order} exceeds 2^{MAX_ORDER}")
     if family.group != group:
         raise ValueError("family is defined over a different group")
-    # chunks[c][v]: the images of value v of chunk c under every shift
-    chunks = [list(zip(*tables)) for tables in zip(*_shift_maps(group).values())]
+    tables = _image_tables(group)
     levels: list[int | None] = [None] * (1 << group.order)
     for m in range(len(levels)):
         if levels[m] is not None:
             continue
-        images = chunks[0][m & _CHUNK_MASK]
-        for c in range(1, len(chunks)):
-            images = list(map(or_, images, chunks[c][m >> _CHUNK * c & _CHUNK_MASK]))
+        images = _images(m, tables)
         level = 0
         if not family.contains(m):
             level = 1
@@ -148,7 +148,7 @@ def recursive_levels(group: GroupDescriptor, family: SizeAtMost) -> tuple[int, .
     largest child level."""
     n = group.order
     total = 1 << n
-    maps = _shift_maps(group)
+    tables = _image_tables(group)
     done: dict[int, int] = {}
 
     def visit(m: int, stack: set[int]) -> int:
@@ -162,8 +162,8 @@ def recursive_levels(group: GroupDescriptor, family: SizeAtMost) -> tuple[int, .
         stack.add(m)
         best = 0
         bottom = False
-        for tables in maps.values():
-            child = m & _translate(m, tables)
+        for image in _images(m, tables):
+            child = m & image
             if family.contains(child):
                 continue
             r = visit(child, stack)
@@ -240,19 +240,17 @@ def boolean_non_additivity_witness(
         raise ValueError(f"Boolean witness search needs d >= 2, got {d}")
     group = GroupDescriptor.boolean_power(d)
     family = SizeAtMost(group, t)
-    maps = _shift_maps(group)
+    tables = _image_tables(group)
 
     def thin(mask: int) -> bool:
-        return all(
-            family.contains(mask & _translate(mask, tables)) for tables in maps.values()
-        )
+        return all(family.contains(mask & image) for image in _images(mask, tables))
 
     for mask in range(1 << group.order):
         if not thin(mask):
             continue
-        for x in group.nonidentity():
-            union = mask | _translate(mask, maps[x])
+        for x, image in enumerate(_images(mask, tables), 1):
+            union = mask | image
             if not thin(union):
-                assert _translate(union, maps[x]) == union
+                assert _images(union, tables)[x - 1] == union
                 return (mask, x)
     return None

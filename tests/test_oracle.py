@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import types
 from collections import Counter
 
 import pytest
@@ -10,8 +11,8 @@ from thinlab.ideals import SizeAtMost
 from thinlab.oracle import (
     BOTTOM,
     OracleTable,
-    _shift_maps,
-    _translate,
+    _image_tables,
+    _images,
     boolean_non_additivity_witness,
     build_table,
     cross_check,
@@ -85,24 +86,52 @@ def independent_levels(group: GroupDescriptor, t: int) -> list[int]:
 )
 def test_shift_tables_match_group_op(group, rng):
     """Every entry of every 8-bit chunk table, including a short last
-    chunk, is the image under group.op of the elements it encodes."""
+    chunk, is the images under group.op of the elements it encodes under
+    every nonidentity shift g, at index g - 1, and `_images` ORs them into
+    a list of translates, also on a one-chunk group."""
     n = group.order
+    shifts = list(group.nonidentity())
 
-    def image(mask: int, g: int) -> int:
-        return sum(1 << group.op(g, a) for a in range(n) if mask >> a & 1)
-
-    maps = _shift_maps(group)
-    assert sorted(maps) == list(group.nonidentity())
-    for g, tables in maps.items():
-        assert [len(t) for t in tables] == [
-            1 << min(8, n - base) for base in range(0, n, 8)
+    def images(mask: int) -> list[int]:
+        return [
+            sum(1 << group.op(g, a) for a in range(n) if mask >> a & 1) for g in shifts
         ]
-        for c, chunk in enumerate(tables):
-            for v, out in enumerate(chunk):
-                assert out == image(v << 8 * c, g)
-        full = (1 << n) - 1
-        for mask in (0, full, rng.randint(0, full), rng.randint(0, full)):
-            assert _translate(mask, tables) == image(mask, g)
+
+    tables = _image_tables(group)
+    assert [len(t) for t in tables] == [1 << min(8, n - base) for base in range(0, n, 8)]
+    for c, chunk in enumerate(tables):
+        for v, out in enumerate(chunk):
+            assert out == tuple(images(v << 8 * c))
+    full = (1 << n) - 1
+    for mask in (0, full, rng.randint(0, full), rng.randint(0, full)):
+        got = _images(mask, tables)
+        assert type(got) is list
+        assert got == images(mask)
+
+
+ENGINE_NAMES = {"mask_translate", "mask_orbit", "Engine", "FiniteGroupUniverse", "derive"}
+
+
+def _names(code) -> set[str]:
+    out = set(code.co_names) | set(code.co_varnames) | set(code.co_freevars)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            out |= _names(const)
+    return out
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [_image_tables, _images, build_table, recursive_levels, boolean_non_additivity_witness],
+    ids=lambda f: f.__name__,
+)
+def test_oracle_translates_share_no_engine_code(fn):
+    """The oracle's own translation and derivation name nothing of the
+    engine's, nested functions included, so it stays an independent check."""
+    assert _names(fn.__code__).isdisjoint(ENGINE_NAMES)
+    # the walk reaches code nested two deep: `contains` is called only
+    # inside the witness's `thin` generator
+    assert "contains" in _names(boolean_non_additivity_witness.__code__)
 
 
 # ---------------------------------------------------------------------------
