@@ -139,25 +139,32 @@ NOT_WELL_FOUNDED = _NotWellFoundedType()
 
 
 class _BudgetStop(Exception):
-    def __init__(self, depth: int, nodes: int, path: tuple[int, ...]):
-        self.depth = depth
-        self.nodes = nodes
-        self.path = path
+    def __init__(self, unknown: Unknown):
+        self.unknown = unknown
 
 
 class _Counter:
-    __slots__ = ("nodes", "deepest")
+    """One public call's Budget, the nodes it has ticked and its deepest path."""
 
-    def __init__(self) -> None:
+    __slots__ = ("budget", "nodes", "deepest")
+
+    def __init__(self, budget: Budget | None) -> None:
+        self.budget = budget if budget is not None else Budget()
         self.nodes = 0
         self.deepest: tuple[int, ...] = ()
 
-    def tick(self, budget: Budget, shifts: tuple[int, ...], g: int) -> None:
+    def enter(self, shifts: tuple[int, ...]) -> None:
+        """Stop at a node reached along shifts once the path is max_depth long."""
+        if len(shifts) >= self.budget.max_depth:
+            raise _BudgetStop(Unknown(len(shifts), self.nodes, shifts))
+
+    def tick(self, shifts: tuple[int, ...], g: int) -> None:
+        """Spend one node on the child along g of the node reached along shifts."""
         self.nodes += 1
         if len(shifts) >= len(self.deepest):
             self.deepest = shifts + (g,)
-        if self.nodes > budget.max_nodes:
-            raise _BudgetStop(len(shifts) + 1, self.nodes, self.deepest)
+        if self.nodes > self.budget.max_nodes:
+            raise _BudgetStop(Unknown(len(shifts) + 1, self.nodes, self.deepest))
 
 
 def _branches(spectrum: ShiftSpectrum) -> list[tuple[int, SymbolicSet]]:
@@ -390,8 +397,11 @@ class TreeDump:
 class Engine:
     """Classifier for one universe.  Verdicts, heights and tree ranks
     belong to the set, not to the path that reached it, so each engine
-    memoizes them across calls; a memo hit spends no budget.  Public methods
-    check their arguments; the recursions take checked sets outside the family."""
+    memoizes them across calls; a memo hit spends no budget.  Each call of
+    classify or tree_rank holds its Budget and what it has spent in one
+    _Counter, which stops the recursion with the call's Unknown.  Public
+    methods check their arguments; the recursions take checked sets outside
+    the family."""
 
     def __init__(self, universe: SymbolicUniverse | FiniteGroupUniverse | None = None):
         self.universe = universe if universe is not None else SymbolicUniverse()
@@ -403,17 +413,16 @@ class Engine:
 
     def classify(self, x, budget: Budget | None = None):
         """Exact hierarchy level, cycle witness, or Unknown."""
-        budget = budget if budget is not None else Budget()
         self.universe.validate(x)
         if self.universe.in_family(x):
             return ExactLevel(0)
-        counter = _Counter()
+        counter = _Counter(budget)
         try:
             if isinstance(self.universe, SymbolicUniverse):
-                return self._classify_z(x, budget, counter)
-            return self._rec(x, (), budget, counter)
+                return self._classify_z(x, counter)
+            return self._rec(x, (), counter)
         except _BudgetStop as stop:
-            return Unknown(stop.depth, stop.nodes, stop.path)
+            return stop.unknown
 
     def derived_set(self, x, path: Iterable[int]):
         self.universe.validate(x)
@@ -433,12 +442,11 @@ class Engine:
         Ranks, NOT_WELL_FOUNDED included, are memoized per engine.  A rank
         is constant on a translation orbit, so on both universes the memo is
         keyed by norm_key, apart from classify's memo."""
-        budget = budget if budget is not None else Budget()
         self.universe.validate(x)
         try:
-            return 0 if self.universe.in_family(x) else self._rank(x, (), budget, _Counter())
+            return 0 if self.universe.in_family(x) else self._rank(x, (), _Counter(budget))
         except _BudgetStop as stop:
-            return Unknown(stop.depth, stop.nodes, stop.path)
+            return stop.unknown
 
     def tree_dump(self, x, depth: int = 3) -> TreeDump:
         """The derivation tree to the given depth.  Ranks are filled in
@@ -477,14 +485,8 @@ class Engine:
                 branches = self.universe.children(y)
             for g, c in branches:
                 node.children.append((g, build(c, path + (g,), left - 1)))
-            subtree_complete = not node.classes and all(
-                ch.rank is not None and not ch.truncated for _, ch in node.children
-            )
-            if subtree_complete:
-                node.rank = 1 + max(
-                    (ch.rank for _, ch in node.children if not ch.in_family),
-                    default=0,
-                )
+            if not node.classes and all(ch.rank is not None for _, ch in node.children):
+                node.rank = 1 + max((ch.rank for _, ch in node.children), default=0)
             return node
 
         return TreeDump(build(x, (), depth))
@@ -501,22 +503,21 @@ class Engine:
 
     # -- internals --------------------------------------------------------
 
-    def _rec(self, x, shifts: tuple[int, ...], budget: Budget, counter: _Counter):
+    def _rec(self, x, shifts: tuple[int, ...], counter: _Counter):
         key = self.universe.norm_key(x)
         if key in self._memo:
             return self._memo[key]
-        if len(shifts) >= budget.max_depth:
-            raise _BudgetStop(len(shifts), counter.nodes, shifts)
+        counter.enter(shifts)
 
         child_levels: list[int] = []
         for g, child in self.universe.children(x):
-            counter.tick(budget, shifts, g)
+            counter.tick(shifts, g)
             if self.universe.in_family(child):
                 continue
             if child == x:
                 verdict = NotInThinCompletion(CycleWitness((), 0, g, 0))
                 break
-            sub = self._rec(child, shifts + (g,), budget, counter)
+            sub = self._rec(child, shifts + (g,), counter)
             if isinstance(sub, NotInThinCompletion):
                 w = sub.witness
                 verdict = NotInThinCompletion(CycleWitness(
@@ -529,21 +530,19 @@ class Engine:
         self._memo[key] = verdict
         return verdict
 
-    def _rank(self, y, shifts: tuple[int, ...], budget: Budget, counter: _Counter):
+    def _rank(self, y, shifts: tuple[int, ...], counter: _Counter):
         """The tree rank of y, a set outside the family, memoized per
         translation orbit."""
         key = self.universe.norm_key(y)
         if key in self._ranks:
             return self._ranks[key]
-        if len(shifts) >= budget.max_depth:
-            raise _BudgetStop(len(shifts), counter.nodes, shifts)
+        counter.enter(shifts)
         best = 0
         for g, child in self.universe.children(y):
-            counter.tick(budget, shifts, g)
+            counter.tick(shifts, g)
             if self.universe.in_family(child):
                 continue
-            rank = NOT_WELL_FOUNDED if child == y else self._rank(
-                child, shifts + (g,), budget, counter)
+            rank = NOT_WELL_FOUNDED if child == y else self._rank(child, shifts + (g,), counter)
             if rank is NOT_WELL_FOUNDED:
                 break
             best = max(best, rank)
@@ -552,7 +551,7 @@ class Engine:
         self._ranks[key] = rank
         return rank
 
-    def _classify_z(self, x: SymbolicSet, budget: Budget, counter: _Counter):
+    def _classify_z(self, x: SymbolicSet, counter: _Counter):
         """The level of a subset of Z by the cube reduction, memoized per
         translation orbit; a set with a periodic part hunts its cycle."""
         if x.period is not None:
@@ -560,13 +559,11 @@ class Engine:
         key = self.universe.norm_key(x)
         if key not in self._memo:
             self._memo[key] = ExactLevel(max(
-                self._height(d, (), budget, counter) for d in sorted(_offset_sets(x))
+                self._height(d, (), counter) for d in sorted(_offset_sets(x))
             ))
         return self._memo[key]
 
-    def _height(
-        self, d: tuple[int, ...], shifts: tuple[int, ...], budget: Budget, counter: _Counter
-    ) -> int:
+    def _height(self, d: tuple[int, ...], shifts: tuple[int, ...], counter: _Counter) -> int:
         """h(d) for sorted nonempty offsets d reached along shifts, memoized
         on the translate with least offset 0.  One pass over the pairs of d
         builds every child d & (d - g); each costs two nodes, for the
@@ -577,18 +574,17 @@ class Engine:
         key = tuple([v - d[0] for v in d]) if d[0] else d
         if key in self._heights:
             return self._heights[key]
-        if len(shifts) >= budget.max_depth:
-            raise _BudgetStop(len(shifts), counter.nodes, shifts)
+        counter.enter(shifts)
         children: dict[int, list[int]] = {}
         for i, a in enumerate(key):
             for b in key[i + 1:]:
                 children.setdefault(b - a, []).append(a)
         best = 0
         for g, child in sorted(children.items(), key=lambda gc: (-len(gc[1]), gc[0])):
-            counter.tick(budget, shifts, -g)
-            counter.tick(budget, shifts, g)
+            counter.tick(shifts, -g)
+            counter.tick(shifts, g)
             if len(child) > best:
-                best = max(best, self._height(tuple(child), shifts + (-g,), budget, counter))
+                best = max(best, self._height(tuple(child), shifts + (-g,), counter))
         self._heights[key] = 1 + best
         return 1 + best
 

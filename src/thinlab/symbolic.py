@@ -415,21 +415,22 @@ class SymbolicSet:
     def scale(self, k: int) -> "SymbolicSet":
         """k * A for k != 0.  Renormalizes: scaling can move cross-key
         coincidences across the exponent-zero boundary, and cp * k can
-        gain factors of b0.  Each tail re-enters make_set as the term
-        geo(b0**q, cp*k * b0**(m0 mod q), d*k, m0 div q), whose literal
-        stays small however large m0 is."""
+        gain factors of b0, which move into the tail's start exponent.
+        Tails and residues reach _normalize in their stored form."""
         if k == 0:
             raise ValueError("cannot scale a set by 0")
         if k == 1:
             return self
         b0, p = self.base, self.period
-        return make_set(
-            (x * k for x in self.finite),
-            (GeoTerm(b0**q, cp * k * b0 ** (m0 % q), d * k, m0 // q)
-             for cp, d, m0, q in self.tails),
-            (APTerm(p * abs(k), r * k % (p * abs(k))) for r in self.residues),
-            base=b0,
-        )
+        tails = []
+        for cp, d, m0, q in self.tails:
+            t = _val(b0, cp * k)
+            tails.append((cp * k // b0**t, d * k, m0 + t, q))
+        periodic = []
+        if p is not None:
+            pk = p * abs(k)
+            periodic.append((pk, [r * k % pk for r in self.residues]))
+        return _normalize(b0, [x * k for x in self.finite], tails, periodic)
 
     def union(self, *others: "SymbolicSet") -> "SymbolicSet":
         """The union of self and others, canonicalized once."""

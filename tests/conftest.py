@@ -1,7 +1,11 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 settings.register_profile(
     "thinlab",

@@ -83,8 +83,9 @@ def test_ap_matches_the_general_canonicalizer():
 
 
 def test_lone_terms_from_other_entry_points_stay_canonical():
-    """from_json_dict passes generators and scale passes the terms of a
-    one-tail set: both reach the shortcut."""
+    """from_json_dict passes generators, which reach make_set's shortcut,
+    and scale passes the stored tail of a one-tail set to _normalize: both
+    give the canonical set."""
     rng = random.Random(17)
     for _ in range(500):
         b, c, d, n0, base = _geo_args(rng)

@@ -10,7 +10,8 @@ starved verdict is Unknown or the default one, stays within its budget,
 and reports a path whose derived set is infinite.  tree_rank is pinned on
 a fresh engine per call, next to the same checks for its starved ranks
 and to what an engine shared across calls may change: only a starved
-Unknown, into the default budget's rank.
+Unknown, into the default budget's rank.  Finite-group verdicts under the
+same starved budgets are pinned with the same checks beside them.
 """
 
 import functools
@@ -30,8 +31,10 @@ FINITE_DIGEST = "4f98b300e29ea2ee7c4efb5b578b562876ec9ec3108beba863e0f8150496019
 SYMBOLIC_DIGEST = "bd28d83092c0f54062aebabdfce1cd983b8f2b65c0cbd4cadbe04f0ff544764b"
 STARVED_DIGEST = "20514821a2f5736df11e08299fd076c663c6b1a53a40cbb58aa81a435673625e"
 RANK_DIGEST = "fa4bd61ca20d5b3047cb6db43f29d98771b6ed88c7d6a211b0fdc2a6b9ce7fb1"
+FINITE_STARVED_DIGEST = "50e8dd2c45bcd987fa85b739795bda6f125c2f8cedb407289327aa1c64092c3a"
 STARVED = (Budget(max_nodes=3), Budget(max_depth=1))
-RANK_BUDGETS = (Budget(),) + STARVED + (Budget(max_nodes=40),)
+FINITE_STARVED = STARVED + (Budget(max_nodes=40),)
+RANK_BUDGETS = (Budget(),) + FINITE_STARVED
 
 
 def _digest(lines) -> str:
@@ -49,6 +52,20 @@ def finite_verdicts():
             engine = Engine(FiniteGroupUniverse(SizeAtMost(group, t)))
             for mask in range(1 << group.order):
                 yield f"{group.describe()} {t} {mask} {engine.classify(mask)!r}"
+
+
+@functools.lru_cache(maxsize=None)
+def starved_finite_verdicts():
+    """(group, t, budget, mask, verdict) for every subset of each group at
+    t = 0, 1, 2 under each starved budget, one engine per (group, t, budget)."""
+    out = []
+    for budget in FINITE_STARVED:
+        for group in GROUPS:
+            for t in range(3):
+                engine = Engine(FiniteGroupUniverse(SizeAtMost(group, t)))
+                for mask in range(1 << group.order):
+                    out.append((group, t, budget, mask, engine.classify(mask, budget)))
+    return out
 
 
 def symbolic_sets():
@@ -69,6 +86,32 @@ def symbolic_verdicts(budgets):
 
 def test_finite_group_verdicts_pinned():
     assert _digest(finite_verdicts()) == FINITE_DIGEST
+
+
+def test_starved_finite_group_verdicts_pinned():
+    lines = (
+        f"{group.describe()} {t} {mask} {budget!r} {verdict!r}"
+        for group, t, budget, mask, verdict in starved_finite_verdicts()
+    )
+    assert _digest(lines) == FINITE_STARVED_DIGEST
+
+
+def test_starved_finite_group_verdicts_are_unknown_or_default():
+    """A starved verdict is the default budget's verdict on a fresh engine,
+    or an Unknown that stays within its budget and stopped below a node
+    outside the family."""
+    stops = 0
+    for group, t, budget, mask, verdict in starved_finite_verdicts():
+        universe = FiniteGroupUniverse(SizeAtMost(group, t))
+        if not isinstance(verdict, Unknown):
+            assert verdict == Engine(universe).classify(mask), (group, t, mask, budget)
+            continue
+        stops += 1
+        assert verdict.nodes_used <= budget.max_nodes + 1, (group, t, mask, budget)
+        assert verdict.depth_reached <= budget.max_depth, (group, t, mask, budget)
+        node = Engine(universe).derived_set(mask, verdict.deepest_path[:-1])
+        assert not universe.in_family(node), (group, t, mask, budget)
+    assert stops > 0
 
 
 def test_symbolic_verdicts_pinned():
