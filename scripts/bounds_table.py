@@ -2,9 +2,14 @@
 bound and the recursive union-level values, as CSV.
 
     python3 scripts/bounds_table.py --ns 1:8 --pairs 2:1,2:2,3:1 --out c.csv
+
+An argument the table cannot hold (n < 1, a union-level step past
+`MAX_STEP_BITS`, a value too long to print) prints one `error:` line on
+stderr and exits 2 with nothing on stdout.
 """
 
 import argparse
+import sys
 
 from thinlab.bounds import build_c_table, cubic_image_min
 
@@ -27,7 +32,10 @@ def main() -> int:
         help="n:k pairs for the recursive bound (default: 2:1,2:2)",
     )
     parser.add_argument(
-        "--entry-bound", type=int, default=3, help="search entry bound"
+        "--entry-bound",
+        type=int,
+        default=3,
+        help="entry bound of the --show-minima search (default: 3)",
     )
     parser.add_argument("--out", default=None, help="CSV destination")
     parser.add_argument(
@@ -37,18 +45,28 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    ns = int_range(args.ns)
-    pairs = [
-        (int(a), int(b))
-        for a, b in (p.split(":") for p in args.pairs.split(",") if p)
-    ]
-    table = build_c_table(ns, pairs, entry_bound=args.entry_bound)
-    csv = table.to_csv()
+    try:
+        ns = int_range(args.ns)
+        pairs = [
+            (int(a), int(b))
+            for a, b in (p.split(":") for p in args.pairs.split(",") if p)
+        ]
+        table = build_c_table(ns, pairs)
+        csv = table.to_csv()
+        minima = []
+        if args.show_minima:
+            for n, c in table.c_exact:
+                res = cubic_image_min(c, args.entry_bound)
+                minima.append(
+                    f"# c({n}) = {c}: min image {res.min_image_size} "
+                    f"at {res.argmin}"
+                )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(csv, end="")
-    if args.show_minima:
-        for n, c in table.c_exact:
-            res = cubic_image_min(c, args.entry_bound)
-            print(f"# c({n}) = {c}: min image {res.min_image_size} at {res.argmin}")
+    for line in minima:
+        print(line)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv)

@@ -3,8 +3,10 @@
 The subset-sum image of a vector (g_1, ..., g_m) of nonzero integers is
 {sum over S of g_i : S a subset of indices}.  `cubic_image_min` finds the
 smallest image size over all vectors with entries bounded by a given
-magnitude; `c_of_n` inverts it: the least m forcing every image past n.
-`c_n_k` evaluates the recursive union-level bound built from c.
+magnitude, by exhaustive search; that size is m + 1, so c(n), the least m
+forcing every image past n, is n (`c_of_n`).  `c_n_k` evaluates the
+recursive union-level bound built from c and refuses a step whose argument
+would pass `MAX_STEP_BITS` bits.
 
 `escalate` lifts a set one exact hierarchy level (scale by 3, union a
 translate); `union_level_check` classifies a union of two classified sets
@@ -13,7 +15,7 @@ against the c-derived bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -22,7 +24,7 @@ from .symbolic import SymbolicSet
 
 MAX_CANONICAL_VECTORS = 2_000_000
 
-SEARCH_EXACT_LIMIT = 64
+MAX_STEP_BITS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,72 +68,49 @@ def cubic_image_min(m: int, entry_bound: int) -> CubicSearchResult:
     return CubicSearchResult(m, entry_bound, best, best_vec)
 
 
-def c_of_n(n: int, entry_bound: int = 3) -> int:
-    """Least m such that every bounded nonzero vector of length m has
-    subset-sum image larger than n.  The entry bound truncates the search
-    space; the true value over Z lies in [n, (n-1)^2 + 1] regardless."""
+def c_of_n(n: int) -> int:
+    """Least m such that every m nonzero integers have more than n subset
+    sums.  That m is n.  Flipping the sign of g_i translates the image by
+    -g_i and reordering leaves it unchanged, so take 0 < g_1 <= ... <= g_m:
+    the partial sums 0 < g_1 < g_1 + g_2 < ... are m + 1 distinct sums,
+    and all ones have exactly m + 1.  So every image exceeds n iff m >= n.
+    `cubic_image_min` is the exhaustive reference for small n."""
     if n < 1:
         raise ValueError(f"threshold must be >= 1, got {n}")
-    upper = (n - 1) ** 2 + 1
-    for m in range(1, upper + 1):
-        if cubic_image_min(m, entry_bound).min_image_size > n:
-            if not n <= m <= upper:
-                raise AssertionError(
-                    f"c({n}) = {m} escaped the interval [{n}, {upper}]"
-                )
-            return m
-    raise AssertionError(f"no length up to {upper} forced images past {n}")
+    return n
 
 
-@dataclass
-class CFunction:
-    """c with exact values searched for arguments up to
-    `SEARCH_EXACT_LIMIT` and the quadratic upper bound substituted above it
-    (recorded in `bounded_args` so callers can flag inexactness)."""
-
-    entry_bound: int = 3
-    cache: dict = field(default_factory=dict, init=False)
-    bounded_args: list = field(default_factory=list, init=False)
-
-    def __call__(self, n: int) -> int:
-        if n in self.cache:
-            return self.cache[n]
-        if n <= SEARCH_EXACT_LIMIT:
-            value = c_of_n(n, self.entry_bound)
-        else:
-            value = (n - 1) ** 2 + 1
-            self.bounded_args.append(n)
-        self.cache[n] = value
-        return value
-
-
-def c_n_k(n: int, k: int, c_fun=None) -> int:
+def c_n_k(n: int, k: int) -> int:
     """The recursive union bound: value 0 at k = 0, and
     c(n, k+1) = c(n) - 1 + c(n ** (2 ** c(n)), k).  Arguments blow up
-    doubly exponentially; a size guard rejects unrepresentable steps."""
+    doubly exponentially, so a step whose argument could exceed
+    `MAX_STEP_BITS` bits is refused before it is built.  At n = 1 the
+    argument stays 1 and every further step adds 0."""
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    if c_fun is None:
-        c_fun = CFunction()
-    if k == 0:
-        return 0
-    cn = c_fun(n)
-    if k == 1:
-        return cn - 1
-    if cn > 4_000_000:
-        raise ValueError(
-            "recursion argument n**(2**c) with c of "
-            f"{cn.bit_length()} bits is not representable"
-        )
-    return cn - 1 + c_n_k(n ** (2**cn), k - 1, c_fun)
+    total = 0
+    for step in range(k):
+        cn = c_of_n(n)
+        total += cn - 1
+        if n == 1 or step == k - 1:
+            break
+        # n >= 2, so n ** (2 ** c) has more than 2 ** c bits; testing c
+        # first keeps the shift small.
+        big = cn >= MAX_STEP_BITS.bit_length()
+        if big or (n.bit_length() << cn) > MAX_STEP_BITS:
+            raise ValueError(
+                "recursion argument n**(2**c) with c of "
+                f"{cn.bit_length()} bits would pass {MAX_STEP_BITS} bits"
+            )
+        n = n ** (2**cn)
+    return total
 
 
 @dataclass(frozen=True)
 class CTable:
-    """Exact-or-bounded c values alongside the quadratic upper bound and
-    the derived union-level bounds."""
+    """Exact c values alongside the quadratic upper bound and the derived
+    union-level bounds."""
 
-    entry_bound: int
     c_exact: tuple[tuple[int, int], ...]
     c_upper_bound: tuple[tuple[int, int], ...]
     c_n_k_values: tuple[tuple[int, int, int], ...]
@@ -144,14 +123,11 @@ class CTable:
         return "\n".join(lines) + "\n"
 
 
-def build_c_table(
-    ns: list[int], pairs: list[tuple[int, int]], entry_bound: int = 3
-) -> CTable:
-    c_fun = CFunction(entry_bound=entry_bound)
-    exact = tuple((n, c_fun(n)) for n in ns)
+def build_c_table(ns: list[int], pairs: list[tuple[int, int]]) -> CTable:
+    exact = tuple((n, c_of_n(n)) for n in ns)
     upper = tuple((n, (n - 1) ** 2 + 1) for n in ns)
-    cnk = tuple((n, k, c_n_k(n, k, c_fun)) for n, k in pairs)
-    return CTable(entry_bound, exact, upper, cnk)
+    cnk = tuple((n, k, c_n_k(n, k)) for n, k in pairs)
+    return CTable(exact, upper, cnk)
 
 
 def escalate(

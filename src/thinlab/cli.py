@@ -262,7 +262,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     group = _parse_group(args.group)
     budget = _budget(args)
     table = build_table(group, SizeAtMost(group, args.t))
-    csv_path, json_path = _write_tables(table, args.out, args.group, args.t)
+    try:
+        csv_path, json_path = _write_tables(table, args.out, args.group, args.t)
+    except OSError as exc:
+        return _config_error(str(exc))
 
     rows = 1 << group.order
     print(f"group: {group.describe()}")

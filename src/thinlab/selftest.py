@@ -23,6 +23,7 @@ from random import Random
 from .bounds import (
     _subset_sum_count,
     c_of_n,
+    cubic_image_min,
     escalate,
     union_level_check,
 )
@@ -186,12 +187,18 @@ def _suite_cubic_bounds(ctx: _Ctx) -> SuiteResult:
         res.checks += 1
         if _subset_sum_count(vec) <= n:
             res.failures.append(f"random n={n}: image too small for {vec}")
-    # c(n) sandwich for n <= 5.
+    # c(n) against the exhaustive search, and inside its sandwich, n <= 5.
     for n in range(1, 6):
-        value = c_of_n(n)
+        value, upper = c_of_n(n), (n - 1) ** 2 + 1
+        lengths = range(1, upper + 1)
+        searched = next(
+            (m for m in lengths if cubic_image_min(m, 3).min_image_size > n), None
+        )
         res.checks += 1
-        if not n <= value <= (n - 1) ** 2 + 1:
-            res.failures.append(f"c({n}) = {value} outside its sandwich")
+        if value != searched or not n <= value <= upper:
+            res.failures.append(
+                f"c({n}) = {value}: search gives {searched}, sandwich [{n}, {upper}]"
+            )
     return res
 
 

@@ -10,7 +10,7 @@ import random
 import time
 from itertools import product
 
-from thinlab.bounds import CFunction, c_n_k, c_of_n, cubic_image_min, escalate
+from thinlab.bounds import c_n_k, c_of_n, cubic_image_min, escalate
 from thinlab.engine import (
     NOT_WELL_FOUNDED,
     CycleWitness,
@@ -132,7 +132,6 @@ def test_criterion_4_subset_sum_bound():
 def test_criterion_5_union_additivity():
     eng = Engine()
     rng = random.Random(5150)
-    c_fun = CFunction()
     pairs = 0
     attempts = 0
     while pairs < 200:
@@ -148,7 +147,7 @@ def test_criterion_5_union_additivity():
         assert not isinstance(union_verdict, NotInThinCompletion), (a, b)
         assert isinstance(union_verdict, ExactLevel), (a, b, union_verdict)
         k = max(va.level, vb.level)
-        bound = c_n_k(2, k, c_fun) + k  # recursion undercounts by one per step
+        bound = c_n_k(2, k) + k  # recursion undercounts by one per step
         assert union_verdict.level <= bound, (a, b, union_verdict, bound)
         pairs += 1
     announce(

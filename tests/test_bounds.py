@@ -3,7 +3,6 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from thinlab.bounds import (
-    CFunction,
     CubicSearchResult,
     UnionLevelReport,
     build_c_table,
@@ -110,35 +109,53 @@ def test_c_of_n_validation():
         c_of_n(0)
 
 
-def test_c_function_caching_and_bound_tracking():
-    f = CFunction()
-    assert f(2) == 2
-    assert f(2) == 2
-    assert f.bounded_args == []
-    big = f(65)
-    assert big == 64**2 + 1
-    assert f.bounded_args == [65]
-    assert f.cache[65] == big
+def test_c_of_n_matches_search_and_is_exact_past_64():
+    for b in range(1, 5):
+        for n in range(1, 9):
+            searched = next(
+                m
+                for m in range(1, n + 2)
+                if cubic_image_min(m, b).min_image_size > n
+            )
+            assert c_of_n(n) == searched, (n, b)
+    assert c_of_n(65) == 65
+    assert c_of_n(10**6) == 10**6
+    assert c_n_k(65, 1) == 64
 
 
 def test_c_n_k_frozen():
-    f = CFunction()
-    assert c_n_k(2, 0, f) == 0
-    assert c_n_k(2, 1, f) == 1
-    assert c_n_k(5, 1, f) == c_of_n(5) - 1
-    assert c_n_k(2, 2, f) == 16
+    assert c_n_k(2, 0) == 0
+    assert c_n_k(2, 1) == 1
+    assert c_n_k(5, 1) == c_of_n(5) - 1
+    assert c_n_k(2, 2) == 16
 
 
 def test_c_n_k_deep_value_is_huge_but_exact():
     v = c_n_k(2, 3)
     assert isinstance(v, int)
-    assert v.bit_length() == 524288
+    assert v == 15 + 16**65536
     assert v > c_n_k(2, 2) > c_n_k(2, 1) > c_n_k(2, 0)
 
 
 def test_c_n_k_unrepresentable_step_raises():
     with pytest.raises(ValueError):
         c_n_k(2, 4)
+    with pytest.raises(ValueError):
+        c_n_k(30, 2)
+
+
+def test_c_n_k_refuses_by_argument_size():
+    # 17 ** (2 ** 17) has 535 752 bits; 18 ** (2 ** 18) has over 2 ** 20
+    assert c_n_k(17, 2) == 16 + 17 ** (2**17) - 1
+    with pytest.raises(ValueError, match="c of 5 bits"):
+        c_n_k(18, 2)
+    with pytest.raises(ValueError, match="c of 262145 bits"):
+        c_n_k(2, 4)
+
+
+def test_c_n_k_at_one_stays_zero_without_deep_recursion():
+    assert [c_n_k(1, k) for k in (0, 1, 2, 3)] == [0, 0, 0, 0]
+    assert c_n_k(1, 5000) == 0
 
 
 def test_c_n_k_validation():

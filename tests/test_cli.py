@@ -401,6 +401,15 @@ def test_oracle_rejects_unknown_group(capsys, tmp_path):
     assert code == 2
 
 
+def test_oracle_reports_an_unwritable_out_path(capsys, tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    code, out, err = run(capsys, "oracle", "--group", "z3", "--out", str(blocker))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocker) in err
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Smoke tests for scripts/: each runs in a subprocess, exits 0, and what
-it writes parses back to what it claims to be."""
+"""Smoke tests for scripts/: each runs in a subprocess, exits with the
+expected code (0 unless it refuses its arguments), and what it writes
+parses back to what it claims to be."""
 
 import csv
 import json
@@ -16,7 +17,9 @@ from thinlab.symbolic import geo
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+def run_script(
+    name: str, *args: str, cwd: Path, code: int = 0
+) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -25,7 +28,7 @@ def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
         [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, check=False,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc
 
 
@@ -67,3 +70,29 @@ def test_bounds_table_csv_parses(tmp_path):
     assert [n for n, _ in exact] == [1, 2, 3]
     assert all(int(r["value"]) >= 0 for r in rows)
     assert {r["kind"] for r in rows} == {"c_exact", "c_upper_bound", "c_n_k"}
+
+
+def test_bounds_table_is_exact_past_64(tmp_path):
+    proc = run_script("bounds_table.py", "--ns", "63:66", cwd=tmp_path)
+    lines = proc.stdout.splitlines()
+    assert [l for l in lines if l.startswith("c_exact,")] == [
+        f"c_exact,{n},,{n}" for n in range(63, 67)
+    ]
+    assert "c_upper_bound,65,,4097" in lines
+
+
+def test_bounds_table_reports_unprintable_and_refused_values(tmp_path):
+    for pairs, message in (
+        ("2:3", "error: Exceeds the limit"),  # 15 + 16**65536, 78 914 digits
+        ("2:4", "error: recursion argument"),
+        ("30:2", "error: recursion argument"),
+    ):
+        proc = run_script(
+            "bounds_table.py", "--pairs", pairs, "--out", "c.csv",
+            cwd=tmp_path, code=2,
+        )
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+    proc = run_script("bounds_table.py", "--ns", "0", cwd=tmp_path, code=2)
+    assert (proc.stdout, proc.stderr) == ("", "error: threshold must be >= 1, got 0\n")
+    assert not (tmp_path / "c.csv").exists()
