@@ -4,8 +4,9 @@ bound and the recursive union-level values, as CSV.
     python3 scripts/bounds_table.py --ns 1:8 --pairs 2:1,2:2,3:1 --out c.csv
 
 An argument the table cannot hold (n < 1, a union-level step past
-`MAX_STEP_BITS`, a value too long to print) prints one `error:` line on
-stderr and exits 2 with nothing on stdout.
+`MAX_STEP_BITS`, a value too long to print), or an --out path it cannot
+write, prints one `error:` line on stderr and exits 2 with nothing on
+stdout.
 """
 
 import argparse
@@ -61,15 +62,16 @@ def main() -> int:
                     f"# c({n}) = {c}: min image {res.min_image_size} "
                     f"at {res.argmin}"
                 )
-    except ValueError as exc:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(csv)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(csv, end="")
     for line in minima:
         print(line)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
         print(f"# wrote {args.out}")
     return 0
 

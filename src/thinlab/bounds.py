@@ -156,7 +156,10 @@ class UnionLevelReport:
 
     `raw_bound` is c(2, k) for k the larger input level; it undercounts by
     up to k (its derivation drops one level per union step), so
-    `adjusted_bound` = c(2, k) + k is the bound actually asserted.
+    `adjusted_bound` = c(2, k) + k is the bound actually asserted.  Where
+    `c_n_k` refuses c(2, k) (every k >= 4: its argument would pass
+    `MAX_STEP_BITS` bits), both are None and the report states the union's
+    level with no bound, so both `within_*` are None.
     An Unknown union verdict is reported as inconclusive, never a failure.
     """
 
@@ -164,8 +167,8 @@ class UnionLevelReport:
     level_b: int
     union_verdict: object
     k: int
-    raw_bound: int
-    adjusted_bound: int
+    raw_bound: int | None
+    adjusted_bound: int | None
     inconclusive: bool
 
     @property
@@ -178,13 +181,13 @@ class UnionLevelReport:
 
     @property
     def within_adjusted_bound(self) -> bool | None:
-        lv = self.union_level
-        return None if lv is None else lv <= self.adjusted_bound
+        lv, bound = self.union_level, self.adjusted_bound
+        return None if lv is None or bound is None else lv <= bound
 
     @property
     def within_raw_bound(self) -> bool | None:
-        lv = self.union_level
-        return None if lv is None else lv <= self.raw_bound
+        lv, bound = self.union_level, self.raw_bound
+        return None if lv is None or bound is None else lv <= bound
 
 
 def union_level_check(
@@ -207,13 +210,16 @@ def union_level_check(
             f"{a} | {b}"
         )
     k = max(va.level, vb.level)
-    raw = c_n_k(2, k)
+    try:
+        raw = c_n_k(2, k)
+    except ValueError:  # a step past MAX_STEP_BITS: no bound to report
+        raw = None
     return UnionLevelReport(
         level_a=va.level,
         level_b=vb.level,
         union_verdict=union_verdict,
         k=k,
         raw_bound=raw,
-        adjusted_bound=raw + k,
+        adjusted_bound=None if raw is None else raw + k,
         inconclusive=isinstance(union_verdict, Unknown),
     )

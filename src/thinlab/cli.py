@@ -248,13 +248,15 @@ def _parse_group(name: str) -> GroupDescriptor:
 
 
 def _write_tables(table, out: str, name: str, t: int) -> tuple[str, str]:
-    """Write oracle_<name>_t<t>.csv and .json into out; return both paths."""
+    """Write oracle_<name>_t<t>.csv and .json into out, piece by piece so
+    that neither file is ever held whole; return both paths."""
     os.makedirs(out, exist_ok=True)
     stem = os.path.join(out, f"oracle_{name.lower()}_t{t}")
     with open(stem + ".csv", "w") as fh:
-        fh.write(table.to_csv())
+        fh.writelines(table.csv_chunks())
     with open(stem + ".json", "w") as fh:
-        fh.write(table.to_json() + "\n")
+        fh.writelines(table.json_chunks())
+        fh.write("\n")
     return stem + ".csv", stem + ".json"
 
 

@@ -23,6 +23,8 @@ the engine over every subset and compares.
 from __future__ import annotations
 
 import json
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import or_
 
@@ -38,9 +40,11 @@ from .groups import MAX_ORDER, GroupDescriptor
 from .ideals import SizeAtMost
 
 BOTTOM = -1
+_UNSET = -2
 
 _CHUNK = 8
 _CHUNK_MASK = (1 << _CHUNK) - 1
+_ROWS = 4096
 
 
 def _image_tables(group: GroupDescriptor) -> list[list[tuple[int, ...]]]:
@@ -74,12 +78,12 @@ def _images(mask: int, tables: list[list[tuple[int, ...]]]) -> list[int]:
 
 @dataclass(frozen=True)
 class OracleTable:
-    """Exact level of every subset; BOTTOM (-1) marks sets outside the
-    thin completion."""
+    """Exact level of every subset, one signed byte each; BOTTOM (-1)
+    marks sets outside the thin completion."""
 
     group: GroupDescriptor
     family: SizeAtMost
-    levels: tuple[int, ...]
+    levels: array
 
     def level(self, mask: int) -> int:
         return self.levels[mask]
@@ -93,19 +97,28 @@ class OracleTable:
     def bottom_count(self) -> int:
         return self.levels.count(BOTTOM)
 
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV text, `_ROWS` rows at a time."""
+        yield "subset_bitmask,level\n"
+        for start in range(0, len(self.levels), _ROWS):
+            rows = enumerate(self.levels[start : start + _ROWS], start)
+            yield "".join(f"{m},{v}\n" for m, v in rows)
+
+    def json_chunks(self) -> Iterator[str]:
+        """`json.dumps` of {group, size_bound, levels}, `_ROWS` levels at
+        a time."""
+        head = json.dumps({"group": self.group.describe(), "size_bound": self.family.t})
+        yield head[:-1] + ', "levels": ['
+        for start in range(0, len(self.levels), _ROWS):
+            piece = ", ".join(map(str, self.levels[start : start + _ROWS]))
+            yield ", " + piece if start else piece
+        yield "]}"
+
     def to_csv(self) -> str:
-        lines = ["subset_bitmask,level"]
-        lines.extend(f"{m},{v}" for m, v in enumerate(self.levels))
-        return "\n".join(lines) + "\n"
+        return "".join(self.csv_chunks())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "group": self.group.describe(),
-                "size_bound": self.family.t,
-                "levels": list(self.levels),
-            }
-        )
+        return "".join(self.json_chunks())
 
 
 def build_table(group: GroupDescriptor, family: SizeAtMost) -> OracleTable:
@@ -115,33 +128,41 @@ def build_table(group: GroupDescriptor, family: SizeAtMost) -> OracleTable:
     it is either smaller than m, so already filled, or m itself, a cycle
     that makes m bottom unless m is in the family.  Filling the whole
     translation orbit of m with its level is exact because the family is
-    translation-invariant and derivation commutes with translation."""
+    translation-invariant and derivation commutes with translation.
+
+    Levels fit a signed byte: a level is at most |G| <= MAX_ORDER = 24,
+    or BOTTOM; `array("b")` raises OverflowError past 127."""
     if group.order > MAX_ORDER:
         raise ValueError(f"subset lattice 2^{group.order} exceeds 2^{MAX_ORDER}")
     if family.group != group:
         raise ValueError("family is defined over a different group")
     tables = _image_tables(group)
-    levels: list[int | None] = [None] * (1 << group.order)
-    for m in range(len(levels)):
-        if levels[m] is not None:
-            continue
+    total = 1 << group.order
+    # one spare _UNSET entry past the end stops the scan for unfilled masks
+    levels = array("b", [_UNSET]) * (total + 1)
+    m = 0
+    while m < total:
         images = _images(m, tables)
         level = 0
         if not family.contains(m):
             level = 1
             for image in images:
                 child = m & image
-                if child == m or levels[child] == BOTTOM:
+                below = levels[child]
+                if child == m or below == BOTTOM:
                     level = BOTTOM
                     break
-                level = max(level, 1 + levels[child])
+                if below >= level:
+                    level = below + 1
         levels[m] = level
         for image in images:
             levels[image] = level
-    return OracleTable(group, family, tuple(levels))
+        m = levels.index(_UNSET, m + 1)
+    levels.pop()
+    return OracleTable(group, family, levels)
 
 
-def recursive_levels(group: GroupDescriptor, family: SizeAtMost) -> tuple[int, ...]:
+def recursive_levels(group: GroupDescriptor, family: SizeAtMost) -> array:
     """Independent check: memoized depth-first recursion with an explicit
     stack-based cycle test.  A subset whose derivation reaches a cycle of
     sets outside the family is bottom; otherwise its level is one plus the
@@ -178,7 +199,7 @@ def recursive_levels(group: GroupDescriptor, family: SizeAtMost) -> tuple[int, .
 
     for m in range(total):
         visit(m, set())
-    return tuple(done[m] for m in range(total))
+    return array("b", (done[m] for m in range(total)))
 
 
 @dataclass(frozen=True)

@@ -232,7 +232,7 @@ def _suite_union_bounds(ctx: _Ctx) -> SuiteResult:
             continue
         if report.inconclusive:
             res.unknowns += 1
-        elif not report.within_adjusted_bound:
+        elif report.within_adjusted_bound is False:
             res.failures.append(
                 f"union level {report.union_level} exceeds adjusted bound "
                 f"{report.adjusted_bound} for {a!r} | {b!r}"

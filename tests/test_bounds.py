@@ -258,6 +258,24 @@ def test_union_check_starved_budget_inconclusive():
     assert report.within_adjusted_bound is None
 
 
+def test_union_check_reports_level_four_without_a_bound():
+    """c(2, 4) is refused, so two level-4 inputs get a report whose bounds
+    are unavailable (None), not a ValueError."""
+    eng = Engine()
+    stage = A
+    for _ in range(3):
+        stage = escalate(stage, eng)
+    with pytest.raises(ValueError):
+        c_n_k(2, 4)
+    report = union_level_check(stage, stage.translate(1000), eng)
+    assert (report.level_a, report.level_b, report.k) == (4, 4, 4)
+    assert report.union_verdict == ExactLevel(5)
+    assert (report.raw_bound, report.adjusted_bound) == (None, None)
+    assert report.within_raw_bound is None
+    assert report.within_adjusted_bound is None
+    assert not report.inconclusive
+
+
 def test_union_check_random_geo_pairs(rng):
     from thinlab.symbolic import random_set
 

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import types
+from array import array
 from collections import Counter
 
 import pytest
 
-from thinlab.groups import GroupDescriptor, mask_elements, mask_of, mask_translate
+from thinlab.cli import _write_tables
+from thinlab.groups import MAX_ORDER, GroupDescriptor, mask_elements, mask_of, mask_translate
 from thinlab.ideals import SizeAtMost
 from thinlab.oracle import (
     BOTTOM,
@@ -359,3 +362,63 @@ def test_json_schema():
     assert data["size_bound"] == 1
     assert len(data["levels"]) == 32
     assert data["levels"][31] == -1
+
+
+# ---------------------------------------------------------------------------
+# Storage: one signed byte per subset, written out piece by piece
+# ---------------------------------------------------------------------------
+
+
+def traced_peak(work) -> int:
+    """Peak bytes that Python allocated while work() ran."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("group", [Z5, B3], ids=lambda g: g.describe())
+def test_levels_are_one_signed_byte_per_subset(group):
+    fam = SizeAtMost(group, 1)
+    for levels in (build_table(group, fam).levels, recursive_levels(group, fam)):
+        assert type(levels) is array and levels.typecode == "b"
+        assert len(levels) == 1 << group.order
+
+
+def test_levels_fit_a_signed_byte():
+    """A level is at most |G| <= MAX_ORDER, or BOTTOM; a signed byte holds
+    up to 127 and refuses more rather than wrapping."""
+    assert MAX_ORDER < 127
+    levels = array("b", [BOTTOM, MAX_ORDER])
+    with pytest.raises(OverflowError):
+        levels[0] = 128
+
+
+def test_build_table_traces_under_half_a_megabyte_on_z16():
+    # a list of ints plus its tuple copy traced 1.3 MB
+    z16 = GroupDescriptor.cyclic(16)
+    assert traced_peak(lambda: table(z16, 1)) < 500_000
+
+
+def test_write_tables_never_holds_a_whole_file(tmp_path):
+    # writing each file from one whole string traced 5.4 MB on Z/16
+    tab = table(GroupDescriptor.cyclic(16), 1)
+    assert traced_peak(lambda: _write_tables(tab, str(tmp_path), "z16", 1)) < 1_800_000
+
+
+@pytest.mark.parametrize(
+    "group,name", [(Z5, "z5"), (B3, "b3"), (GroupDescriptor.cyclic(13), "z13")], ids=str
+)
+def test_written_tables_match_to_csv_and_to_json(group, name, tmp_path):
+    """Z/13 has 8192 subsets, so its files are written in two pieces."""
+    tab = table(group, 1)
+    csv_path, json_path = _write_tables(tab, str(tmp_path), name, 1)
+    with open(csv_path, "rb") as fh:
+        assert fh.read() == tab.to_csv().encode()
+    with open(json_path, "rb") as fh:
+        assert fh.read() == (tab.to_json() + "\n").encode()
+    assert json.loads(tab.to_json())["levels"] == list(tab.levels)
+    rows = [f"{m},{v}" for m, v in enumerate(tab.levels)]
+    assert tab.to_csv().splitlines() == ["subset_bitmask,level"] + rows

@@ -96,3 +96,12 @@ def test_bounds_table_reports_unprintable_and_refused_values(tmp_path):
     proc = run_script("bounds_table.py", "--ns", "0", cwd=tmp_path, code=2)
     assert (proc.stdout, proc.stderr) == ("", "error: threshold must be >= 1, got 0\n")
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_bounds_table_reports_an_unwritable_out_path(tmp_path):
+    (tmp_path / "afile").write_text("")
+    target = str(tmp_path / "afile" / "x.csv")
+    proc = run_script("bounds_table.py", "--out", target, cwd=tmp_path, code=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert target in proc.stderr
