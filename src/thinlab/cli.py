@@ -32,6 +32,8 @@ from .engine import (
     TreeDump,
     TreeNode,
     Unknown,
+    MAX_DUMP_DEPTH,
+    check_dump_depth,
 )
 from .groups import GroupDescriptor
 from .ideals import SizeAtMost
@@ -209,8 +211,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
     """The derivation tree of one expression.  An error of the expression
     is its report, as JSON on stdout under --format json (as classify
     prints it), else as text on stderr; a bad --depth is a command error."""
-    if args.depth < 0:
-        return _config_error("dump depth must be >= 0")
+    check_dump_depth(args.depth)  # main reports its ValueError
 
     def work() -> tuple[TreeDump, int]:
         a = parse_set(args.expr, base=args.base)
@@ -338,7 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="dump a derivation tree")
     p.add_argument("expr", help="set expression")
     p.add_argument("--base", type=int, default=2, help="session base (default: 2)")
-    p.add_argument("--depth", type=int, default=3, help="dump depth (default: 3)")
+    p.add_argument(
+        "--depth", type=int, default=3,
+        help=f"dump depth, 0 to {MAX_DUMP_DEPTH} (default: 3)",
+    )
     p.add_argument(
         "--format", choices=["text", "json", "dot"], default="text",
         help="output format (default: text)",

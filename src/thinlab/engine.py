@@ -394,6 +394,19 @@ class TreeDump:
         return "\n".join(lines)
 
 
+# The deepest tree_dump.  json's encoder takes a frame for each of the three
+# containers a level nests, so depth 330 passes the recursion limit of 1000.
+MAX_DUMP_DEPTH = 200
+
+
+def check_dump_depth(depth: int) -> None:
+    """Raise ValueError unless 0 <= depth <= MAX_DUMP_DEPTH."""
+    if depth < 0:
+        raise ValueError("dump depth must be >= 0")
+    if depth > MAX_DUMP_DEPTH:
+        raise ValueError(f"dump depth must be <= {MAX_DUMP_DEPTH}")
+
+
 class Engine:
     """Classifier for one universe.  Verdicts, heights and tree ranks
     belong to the set, not to the path that reached it, so each engine
@@ -451,8 +464,7 @@ class Engine:
     def tree_dump(self, x, depth: int = 3) -> TreeDump:
         """The derivation tree to the given depth.  Ranks are filled in
         only where the subtree was fully expanded."""
-        if depth < 0:
-            raise ValueError("dump depth must be >= 0")
+        check_dump_depth(depth)
         self.universe.validate(x)
 
         def build(y, path: tuple[int, ...], left: int) -> TreeNode:

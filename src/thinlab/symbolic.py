@@ -32,7 +32,6 @@ _normalize.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -538,33 +537,6 @@ class SymbolicSet:
                 )
                 classes.append(ClassShift(p, delta, rep, child, uniform))
         return ShiftSpectrum(explicit, tuple(classes))
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "finite": list(self.finite),
-            "geo": [
-                {"b": b, "c": c, "d": d, "n0": 0} for b, c, d in self._printed_tails()
-            ],
-            "ap": [{"c": self.period, "d": r} for r in self.residues],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json_dict(data: dict, base: int = DEFAULT_BASE) -> "SymbolicSet":
-        return make_set(
-            data.get("finite", ()),
-            (GeoTerm(t["b"], t["c"], t["d"], t.get("n0", 0)) for t in data.get("geo", ())),
-            (_ap_term(t["c"], t["d"]) for t in data.get("ap", ())),
-            base=base,
-        )
-
-    @staticmethod
-    def from_json(text: str, base: int = DEFAULT_BASE) -> "SymbolicSet":
-        return SymbolicSet.from_json_dict(json.loads(text), base=base)
 
     def __repr__(self) -> str:
         bits = []

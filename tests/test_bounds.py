@@ -13,7 +13,7 @@ from thinlab.bounds import (
     union_level_check,
 )
 from thinlab.engine import Budget, Engine, ExactLevel, Unknown
-from thinlab.symbolic import ap, finite_set, geo
+from thinlab.symbolic import ap, empty_set, finite_set, geo
 
 A = geo(2, 1, 0, 0)
 
@@ -273,6 +273,30 @@ def test_union_check_reports_level_four_without_a_bound():
     assert (report.raw_bound, report.adjusted_bound) == (None, None)
     assert report.within_raw_bound is None
     assert report.within_adjusted_bound is None
+    assert not report.inconclusive
+
+
+def test_union_check_window_witness_pair_reaches_seven():
+    """D = {1,3,4} and E = {0,2,5,6} each hold no 2-cube, D | E is a run of
+    seven, so the unions of geo(2,1,d,0) over D and over E sit at level 2
+    and theirs at level 7.  That is the most two level-2 sets can reach
+    (every 2-coloring of the subsets of a 7-set has a one-colored Boolean
+    square), while the asserted bound at k = 2 is still 18."""
+
+    def tails(offsets):
+        out = empty_set()
+        for d in offsets:
+            out |= geo(2, 1, d, 0)
+        return out
+
+    d_set, e_set = tails((1, 3, 4)), tails((0, 2, 5, 6))
+    eng = Engine()
+    assert eng.classify(d_set) == eng.classify(e_set) == ExactLevel(2)
+    assert eng.classify(tails(range(7))) == ExactLevel(7)
+    report = union_level_check(d_set, e_set, eng)
+    assert (report.level_a, report.level_b, report.k) == (2, 2, 2)
+    assert (report.union_level, report.adjusted_bound) == (7, 18)
+    assert report.within_adjusted_bound is True
     assert not report.inconclusive
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from thinlab.cli import main
+from thinlab.engine import MAX_DUMP_DEPTH
 
 LEVEL2 = "3*geo(2,1,0,0) | (3*geo(2,1,0,0)+1)"
 
@@ -343,6 +344,27 @@ def test_tree_json_reports_errors_of_the_expression(capsys):
         assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
     code, out, err = run(capsys, "tree", "{1}", "--depth", "-1", "--format", "json")
     assert (code, out, err) == (2, "", "error: dump depth must be >= 0\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_tree_prints_at_the_depth_bound_and_refuses_past_it(capsys, fmt):
+    """Every format prints a dump of MAX_DUMP_DEPTH levels; one level more
+    is one error line of the command and exit 2, with no traceback."""
+    args = ("tree", "ap(2,0)", "--format", fmt, "--depth")
+    code, out, err = run(capsys, *args, str(MAX_DUMP_DEPTH))
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        node, depth = json.loads(out), 0
+        while node["children"]:
+            (child,) = node["children"]
+            node, depth = child["node"], depth + 1
+        assert depth == MAX_DUMP_DEPTH and node["truncated"]
+    elif fmt == "dot":
+        assert out.count('[label="g=2"]') == MAX_DUMP_DEPTH
+    else:
+        assert out.count("g=+2: ap(2,0)") == MAX_DUMP_DEPTH
+    code, out, err = run(capsys, *args, str(MAX_DUMP_DEPTH + 1))
+    assert (code, out, err) == (2, "", f"error: dump depth must be <= {MAX_DUMP_DEPTH}\n")
 
 
 # ---------------------------------------------------------------------------

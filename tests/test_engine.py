@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from thinlab.engine import (
+    MAX_DUMP_DEPTH,
     NOT_WELL_FOUNDED,
     Budget,
     CycleWitness,
@@ -442,6 +443,19 @@ def test_tree_dump_depth_zero_and_validation():
     assert dump.root.truncated and dump.root.rank is None
     with pytest.raises(ValueError):
         eng.tree_dump(A, depth=-1)
+
+
+def test_tree_dump_depth_is_bounded():
+    """A dump of MAX_DUMP_DEPTH reaches that depth; one level more is
+    refused before any node is built, not left to overflow the stack."""
+    assert MAX_DUMP_DEPTH == 200
+    node = Engine().tree_dump(ap(2, 0), depth=MAX_DUMP_DEPTH).root
+    for depth in range(MAX_DUMP_DEPTH):
+        assert node.path == (2,) * depth and not node.truncated
+        ((_, node),) = node.children
+    assert node.truncated and not node.children
+    with pytest.raises(ValueError, match=f"dump depth must be <= {MAX_DUMP_DEPTH}"):
+        Engine().tree_dump(ap(2, 0), depth=MAX_DUMP_DEPTH + 1)
 
 
 def test_tree_dump_nodes_are_replayable_derived_sets():

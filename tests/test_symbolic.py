@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 
@@ -89,15 +88,11 @@ def test_ap_term_validation():
 
 @pytest.mark.parametrize("c", [0, -3])
 def test_progression_modulus_checked_before_reduction(c):
-    """ap(c, d) and the JSON form check the modulus before d is reduced
-    mod c, so a zero modulus is a ValueError, not a ZeroDivisionError."""
-    message = f"progression modulus must be >= 1, got {c}"
+    """ap(c, d) checks the modulus before d is reduced mod c, so a zero
+    modulus is a ValueError, not a ZeroDivisionError."""
     with pytest.raises(ValueError) as info:
         ap(c, 5)
-    assert str(info.value) == message
-    with pytest.raises(ValueError) as info:
-        SymbolicSet.from_json_dict({"ap": [{"c": c, "d": 1}]})
-    assert str(info.value) == message
+    assert str(info.value) == f"progression modulus must be >= 1, got {c}"
 
 
 def test_session_base_compatibility():
@@ -255,12 +250,7 @@ def test_equal_denotation_equal_form_regression():
     z = ap(10, 5) | ap(10, 6) | ap(10, 8)
     one = (x | y) | z
     two = x | (y | z)
-    parts = two.to_json_dict()
-    rebuilt = make_set(
-        parts["finite"],
-        [GeoTerm(t["b"], t["c"], t["d"], t["n0"]) for t in parts["geo"]],
-        [APTerm(t["c"], t["d"]) for t in parts["ap"]],
-    )
+    rebuilt = make_set(two.finite, two.geos, two.aps)
     assert one == two == rebuilt
 
 
@@ -687,29 +677,8 @@ def test_orbit_split_matches_stepping_loop():
 
 
 # ---------------------------------------------------------------------------
-# Serialization, misc
+# Printing, misc
 # ---------------------------------------------------------------------------
-
-
-def test_json_schema():
-    a = finite_set([5]) | geo(2, 3, 1, 0) | ap(4, 2)
-    data = a.to_json_dict()
-    assert set(data) == {"finite", "geo", "ap"}
-    assert data["finite"] == [5]
-    assert data["geo"] == [{"b": 2, "c": 3, "d": 1, "n0": 0}]
-    assert data["ap"] == [{"c": 4, "d": 2}]
-
-
-def test_json_round_trip(rng):
-    for _ in range(200):
-        a = random_set(rng)
-        assert SymbolicSet.from_json(a.to_json()) == a
-        assert SymbolicSet.from_json_dict(json.loads(a.to_json())) == a
-
-
-def test_json_n0_defaults():
-    data = {"geo": [{"b": 2, "c": 1, "d": 0}]}
-    assert SymbolicSet.from_json_dict(data) == geo(2, 1, 0, 0)
 
 
 def test_repr_shape():

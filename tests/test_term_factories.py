@@ -2,11 +2,9 @@
 
 make_set builds a lone tail or a lone residue as it is, without
 _normalize.  These tests hold it to the general canonicalizer on a seeded
-corpus, good arguments and bad, and check that repr and JSON
-print the tails as before while refusing at once a coefficient too long to
-print."""
+corpus, good arguments and bad, and check that repr prints the tails as
+before while refusing at once a coefficient too long to print."""
 
-import json
 import os
 import random
 import resource
@@ -18,7 +16,6 @@ import pytest
 
 from thinlab.symbolic import (
     GeoTerm,
-    SymbolicSet,
     _ap_term,
     _geo_parts,
     _normalize,
@@ -83,14 +80,14 @@ def test_ap_matches_the_general_canonicalizer():
 
 
 def test_lone_terms_from_other_entry_points_stay_canonical():
-    """from_json_dict passes generators, which reach make_set's shortcut,
-    and scale passes the stored tail of a one-tail set to _normalize: both
-    give the canonical set."""
+    """A generator of one term reaches make_set's shortcut, and scale
+    passes the stored tail of a one-tail set to _normalize: both give the
+    canonical set."""
     rng = random.Random(17)
     for _ in range(500):
         b, c, d, n0, base = _geo_args(rng)
-        data = {"geo": [{"b": b, "c": c, "d": d, "n0": n0}]}
-        assert SymbolicSet.from_json_dict(data, base=base) == _normalized_geo(b, c, d, n0, base)
+        lone = make_set(geos=(t for t in [GeoTerm(b, c, d, n0)]), base=base)
+        assert lone == _normalized_geo(b, c, d, n0, base)
         k = rng.choice([-3, -1, 2, 5])
         one = geo(b, c, d, min(n0, 9), base=base)
         assert one.scale(k) == _normalized_geo(b, c * k, d * k, min(n0, 9), base)
@@ -123,7 +120,7 @@ def test_bad_ap_arguments_raise_as_before(args):
 
 
 def test_printed_view_is_unchanged():
-    """repr and to_json_dict print what the sorted GeoTerms of `geos` print."""
+    """repr prints what the sorted GeoTerms of `geos` print."""
     rng = random.Random(18)
     for _ in range(500):
         a = random_set(rng, base=rng.choice([2, 3]), max_geo=4)
@@ -133,19 +130,15 @@ def test_printed_view_is_unchanged():
         bits += [f"geo({t.base},{t.coeff},{t.offset},{t.n0})" for t in terms]
         bits += [f"ap({a.period},{r})" for r in a.residues]
         assert repr(a) == (" | ".join(bits) or "{}")
-        data = a.to_json_dict()
-        assert data["geo"] == [{"b": t.base, "c": t.coeff, "d": t.offset, "n0": 0} for t in terms]
-        assert json.loads(a.to_json()) == data
-    assert geo(4, 3, -1, 2).to_json() == '{"ap": [], "finite": [], "geo": [{"b": 4, "c": 48, "d": -1, "n0": 0}]}'
+    assert repr(geo(4, 3, -1, 2)) == "geo(4,48,-1,0)"
 
 
 def test_json_refuses_a_coefficient_too_long_to_print():
-    """2**15000 has 4516 digits, over the default limit of 4300: repr,
-    to_json_dict and to_json raise the int-to-str error, geos still builds it."""
+    """2**15000 has 4516 digits, over the default limit of 4300: repr
+    raises the int-to-str error, geos still builds it."""
     a = geo(2, 1, 0, 15000)
-    for show in (repr, SymbolicSet.to_json_dict, SymbolicSet.to_json):
-        with pytest.raises(ValueError, match="Exceeds the limit"):
-            show(a)
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        repr(a)
     assert a.geos == (GeoTerm(2, 2**15000, 0),)
 
 
@@ -153,7 +146,7 @@ def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("call", ["to_json_dict()", "to_json()", "__repr__()"])
+@pytest.mark.parametrize("call", ["__repr__()"])
 def test_huge_start_index_is_refused_at_once(call):
     """The coefficient 2**(10**12) is never built: the child, with its
     address space capped, raises within the timeout."""
