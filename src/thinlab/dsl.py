@@ -7,7 +7,7 @@ Grammar (precedence low to high):
     inter  := sum ('&' sum)*
     sum    := prod ('+' prod)*
     prod   := unary ('*' unary)*
-    unary  := '-' unary | primary
+    unary  := '-'* primary
     primary:= INT | '{' [INT (',' INT)*] '}'
             | 'geo' '(' INT ',' INT ',' INT ',' INT ')'
             | 'ap' '(' INT ',' INT ')'
@@ -16,7 +16,8 @@ Grammar (precedence low to high):
 Tokens: whitespace is skipped; INT is a run of decimal digits (str.isdecimal,
 what int() reads); a name is a letter (str.isalpha) then letters and digits
 (str.isalnum), so '_' ends it; each of {}(),|&+*- is a token of its own; any
-other character is an error.
+other character is an error.  Parentheses nest at most MAX_PAREN_DEPTH
+(100) deep; the '(' that goes deeper is an error.
 
 Values are integers or sets; '+' translates a set by an integer, '*'
 scales one, '|' and '&' are union and intersection of sets; `geo` and
@@ -65,11 +66,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+# Each '(' costs the parser six stack frames: 100 levels stay well inside
+# the interpreter's default recursion limit of 1000.
+MAX_PAREN_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str, base: int):
         self.base = base
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str:
         """The kind of the next token."""
@@ -164,13 +171,13 @@ class _Parser:
             raise ParseError(str(exc), pos) from None
 
     def unary(self):
-        if self.peek() == "-":
-            _, pos = self.take()
-            value = self.unary()
-            if not isinstance(value, int):
-                raise ParseError("unary '-' needs an integer", pos)
-            return -value
-        return self.primary()
+        signs = []
+        while self.peek() == "-":
+            signs.append(self.take()[1])
+        value = self.primary()
+        if signs and not isinstance(value, int):
+            raise ParseError("unary '-' needs an integer", signs[-1])
+        return -value if len(signs) % 2 else value
 
     def primary(self):
         kind, text, pos = self.tokens[self.i]
@@ -186,8 +193,12 @@ class _Parser:
                 return self.term_call(2, ap)
             raise ParseError(f"unknown name {text!r}", pos)
         if kind == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", pos)
             self.take()
+            self.depth += 1
             value = self.union()
+            self.depth -= 1
             self.take(")")
             return value
         raise ParseError(f"expected an expression, found {text or 'end of input'!r}", pos)

@@ -43,8 +43,10 @@ class r let D_(cp,r) be the offsets d of the tails that contain r.  A set
 with a periodic part P is outside the completion: the period branch
 reaches a fixed point.  Deriving by the period p keeps P and never meets
 it, so the branch is P together with the chain of the remainder R (the
-finite part and the tails), which ends at the first empty set; its
-length is the longest run y, y - p, ... inside R.  For any other set,
+finite part and the tails), which ends at the first empty set: R is
+derived at most once per distinct tail key, until it is finite, and the
+rest of the branch is the longest run y, y - p, ... inside it, counted in
+one pass.  For any other set,
 
     level(A) = max over (cp, r) of h(D_(cp,r)),
     h({}) = 0,  h(D) = 1 + max over g > 0 of h(D & (D - g)),
@@ -565,9 +567,9 @@ class Engine:
 
     def _classify_z(self, x: SymbolicSet, counter: _Counter):
         """The level of a subset of Z by the cube reduction, memoized per
-        translation orbit; a set with a periodic part hunts its cycle."""
+        translation orbit; a set with a periodic part gets its period witness."""
         if x.period is not None:
-            return self._hunt_cycle(x)
+            return self._period_witness(x)
         key = self.universe.norm_key(x)
         if key not in self._memo:
             self._memo[key] = ExactLevel(max(
@@ -600,23 +602,24 @@ class Engine:
         self._heights[key] = 1 + best
         return 1 + best
 
-    def _hunt_cycle(self, x: SymbolicSet) -> NotInThinCompletion:
-        """Follow the period branch of a set with a periodic part to its
-        fixed point: deriving by the period p keeps the periodic part, so
-        the shrinking chain x, x & (p + x), ... stops at an infinite set
-        equal to its own child.
-
-        The chain is walked on the remainder R, the finite part and the
-        tails, alone.  Write x = P | R with P the periodic part.  A
-        canonical R misses P, and P + p = P, so R + p misses P too and the
-        k-th set of the chain is P | R_k, with R_k the k-th set of R's
-        chain.  R_k holds no periodic subset, so it equals its child only
-        when it is empty: the fixed point comes at the first k with R_k
-        empty, which is the longest run y, y - p, ... inside R."""
+    def _period_witness(self, x: SymbolicSet) -> NotInThinCompletion:
+        """The cycle witness of the period branch of a set x = P | R with
+        periodic part P of period p.  A canonical remainder R, the finite
+        part and the tails, misses P, and P + p = P, so the k-th set of the
+        branch is P | R_k with R_k the k-th set of R's chain; R_k holds no
+        periodic subset, so the fixed point comes at the first empty R_k.
+        A tail key (cp, d) of R_(k+1) needs (cp, d) and (cp, d - p) in R_k,
+        so each derive drops the least offset of every cp: R is derived at
+        most once per distinct tail key, and its finite rest then empties
+        after its longest run y, y - p, ..., counted in one ascending pass."""
         p = x.period
         rest = SymbolicSet(x.finite, x.tails, None, (), x.base)
-        for k in range(100_000):
-            if rest.is_empty():
-                return NotInThinCompletion(CycleWitness((p,) * k, k, p, 0))
+        k = 0
+        while rest.tails:
             rest = self.universe.derive(rest, p)
-        raise AssertionError("period-branch chain failed to stabilize")
+            k += 1
+        runs: dict[int, int] = {}
+        for y in rest.finite:
+            runs[y] = runs.get(y - p, 0) + 1
+        k += max(runs.values(), default=0)
+        return NotInThinCompletion(CycleWitness((p,) * k, k, p, 0))

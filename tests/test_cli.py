@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from thinlab.cli import main
+from thinlab.dsl import caret_diagram
 from thinlab.engine import MAX_DUMP_DEPTH
 
 LEVEL2 = "3*geo(2,1,0,0) | (3*geo(2,1,0,0)+1)"
@@ -285,6 +286,27 @@ def test_batch_lines_are_independent(capsys, monkeypatch):
         assert line == own.rstrip("\n")
 
 
+DEEP_PARENS = "(" * 200 + "{1}" + ")" * 200
+
+
+def test_deep_nesting_is_a_parse_error_in_every_mode(capsys, monkeypatch):
+    """Parentheses past MAX_PAREN_DEPTH are a parse error at the '(' that
+    crosses the bound, exit 2, in text, in JSON and under --batch, where
+    the stream goes on; a long run of signs parses without recursing."""
+    code, out, err = run(capsys, "classify", DEEP_PARENS, "--no-timing")
+    assert (code, out) == (2, "")
+    assert err == "parse error: parentheses nested deeper than 100\n" + caret_diagram(
+        DEEP_PARENS, 100) + "\n"
+    signs = "{1}+" + "-" * 3001 + "1"
+    feed(monkeypatch, f"{DEEP_PARENS}\n{signs}\n{{1}}\n")
+    code, out, _ = run(capsys, "classify", "--batch", "--no-timing")
+    assert code == 2
+    deep, signed, last = (json.loads(s) for s in out.splitlines())
+    assert deep == {"error": "parentheses nested deeper than 100",
+                    "input": DEEP_PARENS, "position": 100}
+    assert signed["set"] == "{0}" and last["level"] == 0
+
+
 # ---------------------------------------------------------------------------
 # tree
 # ---------------------------------------------------------------------------
@@ -324,6 +346,15 @@ def test_tree_parse_error(capsys):
     code, _, err = run(capsys, "tree", "waffles")
     assert code == 2
     assert "parse error:" in err
+
+
+def test_tree_deep_nesting_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "tree", DEEP_PARENS)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: parentheses nested deeper than 100\n")
+    code, out, err = run(capsys, "tree", DEEP_PARENS, "--format", "json")
+    assert (code, err) == (2, "")
+    assert json.loads(out)["position"] == 100
 
 
 def test_tree_json_reports_errors_of_the_expression(capsys):

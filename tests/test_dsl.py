@@ -11,7 +11,7 @@ import pytest
 
 from thinlab.bounds import escalate
 from thinlab.dsl import ParseError, caret_diagram, format_set, parse_expr, parse_set
-from thinlab.dsl import _tokenize
+from thinlab.dsl import MAX_PAREN_DEPTH, _tokenize
 from thinlab.symbolic import SymbolicSet, ap, empty_set, finite_set, geo, random_set
 
 
@@ -141,6 +141,22 @@ def test_error_positions_and_messages():
     assert (e.position, e.message) == (0, "unary '-' needs an integer")
     e = err("{1} $ {2}")
     assert (e.position, e.message) == (4, "unexpected character '$'")
+
+
+def test_nesting_is_bounded_and_signs_are_counted():
+    """MAX_PAREN_DEPTH parentheses parse; the '(' one deeper is the error,
+    wherever it sits.  Signs are a loop: thousands parse, and a set under
+    them is an error at the innermost sign."""
+    n = MAX_PAREN_DEPTH
+    assert parse_expr("(" * n + "{1}" + ")" * n) == finite_set([1])
+    for text in ("(" * (n + 1) + "{1}" + ")" * (n + 1), "{2} | " + "(" * 300):
+        e = err(text)
+        assert e.message == f"parentheses nested deeper than {n}"
+        assert text[e.position] == "(" and text[:e.position].count("(") == n
+    assert parse_expr("-" * 3000 + "5") == 5 and parse_expr("-" * 3001 + "5") == -5
+    assert parse_expr("{1}+" + "-" * 3001 + "1") == finite_set([0])
+    e = err("-" * 3000 + "{1}")
+    assert (e.position, e.message) == (2999, "unary '-' needs an integer")
 
 
 def test_union_chain_errors_are_the_folds():

@@ -1,10 +1,13 @@
-"""The period branch of a set with a periodic part, hunted on the remainder.
+"""The period branch of a set with a periodic part, counted on the remainder.
 
-Engine._hunt_cycle derives only R, the finite part and the tails, and stops
-at the first empty R_k.  These tests read the witness off the full chain
-x, x & (x + p), ... instead, and compare."""
+Engine._period_witness derives only R, the finite part and the tails, and
+only while R has tails, at most once per distinct tail key; the rest of
+the branch is the longest run y, y - p, ... of R's finite part.  These
+tests read the witness off the full chain x, x & (x + p), ... instead,
+compare, and count the derives."""
 
 import random
+import time
 
 import pytest
 
@@ -87,3 +90,55 @@ def test_long_run_meets_finite_parts_by_hash():
     verdict = Engine().classify(x)
     assert verdict == NotInThinCompletion(CycleWitness((7,) * n, n, 7, 0))
     assert Engine().replay_witness(x, verdict.witness)
+
+
+def _counted_classify(monkeypatch, x: SymbolicSet):
+    """classify x, and the number of intersect calls it made."""
+    calls = []
+    real = SymbolicSet.intersect
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(SymbolicSet, "intersect", counting)
+    verdict = Engine().classify(x)
+    monkeypatch.setattr(SymbolicSet, "intersect", real)
+    return verdict, len(calls)
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8, 9, 10])
+def test_at_most_one_derive_per_tail_key(monkeypatch, seed):
+    rng = random.Random(seed)
+    seen = 0
+    while seen < 40:
+        x = random_set(rng, base=rng.choice([2, 2, 3]), max_geo=4, max_finite=8)
+        if x.period is None:
+            continue
+        seen += 1
+        verdict, calls = _counted_classify(monkeypatch, x)
+        assert calls <= len({t[:2] for t in x.tails})
+        assert verdict.witness == _full_chain_witness(x)
+
+
+def test_four_key_chain_then_a_finite_run(monkeypatch):
+    """Four keys 6 apart lose one key per derive, so four derives leave a
+    finite rest, whose longest run 26, 32, ..., 50 lasts five more steps."""
+    x = (geo(2, 1, 0) | geo(2, 1, 6) | geo(2, 1, 12) | geo(2, 1, 18) | ap(6, 1)
+         | finite_set([5, 11, 17, 23, 29]))
+    assert len({t[:2] for t in x.tails}) == 4
+    verdict, calls = _counted_classify(monkeypatch, x)
+    assert calls == 4
+    assert verdict == NotInThinCompletion(CycleWitness((6,) * 9, 9, 6, 0))
+    assert verdict.witness == _full_chain_witness(x)
+
+
+def test_hundred_thousand_run_is_counted_not_walked(monkeypatch):
+    """{0, 7, ..., 7 * 99999} | ap(7, 1) has no tails: no derive, one pass."""
+    n = 100_000
+    x = finite_set(range(0, 7 * n, 7)) | ap(7, 1)
+    t0 = time.process_time()
+    verdict, calls = _counted_classify(monkeypatch, x)
+    assert time.process_time() - t0 < 1.0
+    assert calls == 0
+    assert verdict.witness == CycleWitness((7,) * n, n, 7, 0)
