@@ -46,7 +46,9 @@ it, so the branch is P together with the chain of the remainder R (the
 finite part and the tails), which ends at the first empty set: R is
 derived at most once per distinct tail key, until it is finite, and the
 rest of the branch is the longest run y, y - p, ... inside it, counted in
-one pass.  For any other set,
+one pass.  Replaying that witness derives its run of k shifts p along p,
+2p, 4p, ..., which have the same subset sums 0, p, ..., kp, in about
+log2 k derives.  For any other set,
 
     level(A) = max over (cp, r) of h(D_(cp,r)),
     h({}) = 0,  h(D) = 1 + max over g > 0 of h(D & (D - g)),
@@ -242,7 +244,7 @@ class SymbolicUniverse:
         _check_shift(g)
         if g == 0:
             raise ValueError("derivation shifts must be nonzero")
-        return x.intersect(x.translate(g))
+        return x.derive(g)
 
     def children(self, x: SymbolicSet) -> list[tuple[int, SymbolicSet]]:
         """Branches of the derivation tree at x, from its shift spectrum:
@@ -440,9 +442,23 @@ class Engine:
             return stop.unknown
 
     def derived_set(self, x, path: Iterable[int]):
+        """The derived set of x along path.  On Z a run of k equal shifts g
+        is derived along g, 2g, ..., 2^(m-1)g and (k + 1 - 2^m)g if nonzero,
+        2^m <= k + 1 < 2^(m+1): the same subset sums 0, g, ..., kg give the
+        same meet of translates x + s.  A finite group walks the path: its
+        runs are at most |G| long, and 2g can be the identity."""
         self.universe.validate(x)
-        for g in path:
-            x = self.universe.derive(x, g)
+        if not isinstance(self.universe, SymbolicUniverse):
+            for g in path:
+                x = self.universe.derive(x, g)
+            return x
+        for (_, g), run in itertools.groupby(path, lambda h: (type(h), h)):
+            _check_shift(g)  # before g is multiplied, so True is refused
+            k = sum(1 for _ in run)
+            m = (k + 1).bit_length() - 1
+            for c in [2**i for i in range(m)] + [k + 1 - 2**m]:
+                if c:
+                    x = self.universe.derive(x, c * g)
         return x
 
     def is_thin(self, x) -> bool:
@@ -506,8 +522,8 @@ class Engine:
         return TreeDump(build(x, (), depth))
 
     def replay_witness(self, x, witness: CycleWitness) -> bool:
-        """Recompute the derived sets named by a witness, walking its path
-        once, and confirm the claimed repetition."""
+        """Recompute the derived sets named by a witness, a run of k equal
+        shifts on Z in about log2 k derives, and confirm the repetition."""
         i = witness.ancestor_index
         ancestor = self.derived_set(x, witness.path[:i])
         frame = self.derived_set(ancestor, witness.path[i:])
@@ -616,7 +632,7 @@ class Engine:
         rest = SymbolicSet(x.finite, x.tails, None, (), x.base)
         k = 0
         while rest.tails:
-            rest = self.universe.derive(rest, p)
+            rest = rest.derive(p)
             k += 1
         runs: dict[int, int] = {}
         for y in rest.finite:

@@ -339,11 +339,13 @@ class SymbolicSet:
     # -- queries ---------------------------------------------------------
 
     def member(self, x: int) -> bool:
-        return x in self.finite or bool(self._in_terms((x,)))
+        p = self.period
+        return (x in self.finite or p is not None and x % p in self.residues
+                or any(_in_tail(x, t, self.base) for t in self.tails))
 
     def _in_terms(self, xs: Iterable[int]) -> set[int]:
         """The elements of xs that lie in the periodic part or a tail."""
-        p, rs, tails = self.period, self.residues, self.tails
+        p, rs, tails = self.period, frozenset(self.residues), self.tails
         return {x for x in xs if p is not None and x % p in rs
                 or tails and any(_in_tail(x, t, self.base) for t in tails)}
 
@@ -488,54 +490,47 @@ class SymbolicSet:
             raise ValueError("session base mismatch: " + " vs ".join(map(str, bases)))
         return bases[0] if bases else sets[-1].base
 
-    # -- shift spectrum ---------------------------------------------------
+    # -- derivation ------------------------------------------------------
+
+    def derive(self, g: int) -> "SymbolicSet":
+        """A & (A + g): every derivation step on Z meets a set with its
+        translate here."""
+        return self.intersect(self.translate(g))
 
     def shift_spectrum(self) -> "ShiftSpectrum":
-        """All shifts g != 0 whose self-intersection A & (g + A) is infinite,
-        as finitely many explicit shifts plus residue classes; every shift
-        outside the spectrum has a finite self-intersection.
+        """All shifts g != 0 whose derived set A & (A + g) is infinite, as
+        finitely many explicit shifts plus residue classes; every shift
+        outside the spectrum has a finite derived set.
 
         The explicit candidates, differences of tail offsets of one cp, come
         in pairs +-g, and A & (A - g) = (A & (A + g)) - g: only the children
-        for g > 0 are intersected, and each -g child is their translate."""
-        cands: set[int] = set()
-        for cp1, d1, _, _ in self.tails:
-            for cp2, d2, _, _ in self.tails:
-                if cp1 == cp2 and d1 > d2:
-                    cands.add(d1 - d2)
-        up = [(g, self.intersect(self.translate(g))) for g in sorted(cands)]
+        for g > 0 are derived, and each -g child is their translate.  Mod p,
+        the class deltas are (R - R) | +-(T - R) for residues R and tail
+        residues T; without tails a class is uniform unless its delta is in
+        F - R or a difference of two distinct finite elements."""
+        ts = self.tails
+        cands = {d1 - d2 for cp1, d1, _, _ in ts for cp2, d2, _, _ in ts
+                 if cp1 == cp2 and d1 > d2}
+        up = [(g, self.derive(g)) for g in sorted(cands)]
         explicit = tuple([(-g, c.translate(-g)) for g, c in reversed(up)] + up)
 
         classes: list[ClassShift] = []
-        p = self.period
+        p, rs = self.period, frozenset(self.residues)
         if p is not None:
-            rset = frozenset(self.residues)
             u, v = _powmod_orbit(self.base, p)
-            deltas: set[int] = set()
-            for r1 in rset:
-                for r2 in rset:
-                    deltas.add((r1 - r2) % p)
-            for cp, d, s, j in self.tails:
-                rinf = {
-                    (cp * pow(self.base, m, p) + d) % p
-                    for m in _orbit_split(s, j, u, v)[1]
-                }
-                for rho in rinf:
-                    for r in rset:
-                        deltas.add((rho - r) % p)
-                        deltas.add((r - rho) % p)
+            tres = {(cp * pow(self.base, m, p) + d) % p
+                    for cp, d, s, j in ts for m in _orbit_split(s, j, u, v)[1]}
+            deltas = {(r1 - r2) % p for r1 in rs for r2 in rs}
+            deltas |= {sign * (t - r) % p for t in tres for r in rs for sign in (1, -1)}
+            fs = set() if ts else {f % p for f in self.finite}
+            off = {(f - r) % p for f in fs for r in rs}
+            off |= {(f1 - f2) % p for f1 in fs for f2 in fs if f1 != f2}
+            if len(fs) < len(self.finite):
+                off.add(0)
             for delta in sorted(deltas):
                 rep = delta if delta != 0 else p
-                child = self.intersect(self.translate(rep))
-                uniform = (
-                    not self.tails
-                    and not any((f - delta) % p in rset for f in self.finite)
-                    and not any(
-                        (f1 - f2 - delta) % p == 0
-                        for f1 in self.finite for f2 in self.finite if f1 != f2
-                    )
-                )
-                classes.append(ClassShift(p, delta, rep, child, uniform))
+                uniform = not ts and delta not in off
+                classes.append(ClassShift(p, delta, rep, self.derive(rep), uniform))
         return ShiftSpectrum(explicit, tuple(classes))
 
     def __repr__(self) -> str:

@@ -60,6 +60,26 @@ def test_classify_timing_field_present_by_default(capsys):
     assert isinstance(json.loads(out)["time_ms"], float)
 
 
+def test_classify_text_prints_its_time_by_default(capsys):
+    code, out, _ = run(capsys, "classify", "geo(2,1,0,0)")
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if line.startswith("time_ms: ")]
+    assert float(line.removeprefix("time_ms: ")) >= 0
+
+
+def test_classify_tails_against_a_period_past_the_limit(capsys):
+    """Tails are reduced against a periodic part only up to period
+    PERIOD_ENUM_LIMIT; past it the expression is a parse error at the '|'
+    that joins them."""
+    text = "geo(2,1,0,0) | ap(1000003,0)"
+    code, out, err = run(capsys, "classify", text, "--no-timing")
+    assert (code, out) == (2, "")
+    assert err == (
+        "parse error: geometric terms cannot be reduced against a periodic "
+        "part with period 1000003 (limit 1000000)\n" + caret_diagram(text, 13) + "\n"
+    )
+
+
 def test_classify_bottom_exit_and_witness(capsys):
     code, out, _ = run(capsys, "classify", "ap(2,0)", "--no-timing")
     assert code == 3
@@ -322,6 +342,11 @@ def test_tree_text(capsys):
     assert any(line.strip().startswith("g=-1:") for line in lines)
 
 
+def test_tree_text_of_a_set_in_the_family(capsys):
+    code, out, err = run(capsys, "tree", "{1,2}")
+    assert (code, out, err) == (0, "{1,2}  [in family, rank 0]\n", "")
+
+
 def test_tree_text_progression_classes(capsys):
     code, out, _ = run(capsys, "tree", "ap(2,0)", "--depth", "1")
     assert code == 0
@@ -423,6 +448,21 @@ def test_oracle_writes_tables(capsys, tmp_path):
     with open(json_path) as fh:
         data = json.loads(fh.read())
     assert data["group"] == "Z/5" and len(data["levels"]) == 32
+
+
+def test_oracle_on_a_boolean_group(capsys, tmp_path):
+    code, out, _ = run(capsys, "oracle", "--group", "b2", "--t", "1", "--out", str(tmp_path))
+    assert code == 0
+    assert "group: (Z/2)^2" in out and "rows: 16" in out
+    assert "cross_check: (Z/2)^2 with size bound 1: 16 subsets, agree" in out
+    assert (tmp_path / "oracle_b2_t1.csv").read_text().count("\n") == 17
+
+
+@pytest.mark.parametrize("name", ["z", "bx"])
+def test_oracle_group_without_an_order(capsys, tmp_path, name):
+    code, out, err = run(capsys, "oracle", "--group", name, "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown group '{name}': expected zN or bD\n"
 
 
 def test_oracle_reads_the_budget_before_building_the_table(capsys, monkeypatch, tmp_path):

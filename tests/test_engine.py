@@ -575,14 +575,16 @@ def test_symbolic_universe_rejects_bad_sets_and_the_zero_shift():
 
 def test_every_shift_entry_point_checks_its_shift_on_z():
     """A shift of Z is a plain int, the rule a finite group applies to its
-    elements: derived_set, replay_witness for a shift on the path, the
-    repeat shift and the translation, and the universe's derive and
+    elements: derived_set (also on a run of equal shifts, which it derives
+    along multiples of the shift), replay_witness for a shift on the path,
+    the repeat shift and the translation, and the universe's derive and
     translate raise TypeError on a bool or a float, integral or not."""
     eng = Engine()
     a = ap(2, 0) | A
     entry_points = [
         lambda g: eng.derived_set(a, [g]),
         lambda g: eng.derived_set(a, [1, g]),
+        lambda g: eng.derived_set(a, [g, g]),
         lambda g: eng.replay_witness(a, CycleWitness((g,), 1, 2, 0)),
         lambda g: eng.replay_witness(a, CycleWitness((), 0, g, 0)),
         lambda g: eng.replay_witness(a, CycleWitness((2,), 1, 2, g)),
@@ -595,6 +597,8 @@ def test_every_shift_entry_point_checks_its_shift_on_z():
                 call(bad)
     with pytest.raises(ValueError, match="derivation shifts must be nonzero"):
         eng.universe.derive(a, 0)
+    with pytest.raises(ValueError, match="derivation shifts must be nonzero"):
+        eng.derived_set(a, [0, 0, 0])
     assert eng.replay_witness(ap(2, 0), CycleWitness((), 0, 2, 0))
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from thinlab.groups import GroupDescriptor, mask_of
+from thinlab.groups import GroupDescriptor, mask_of, mask_translate
 from thinlab.ideals import FiniteSets, SizeAtMost, check_axioms
 from thinlab.symbolic import ap, empty_set, finite_set, geo, random_set
 
@@ -99,3 +99,43 @@ def test_axioms_full_bound_additive():
         SizeAtMost(group, group.order), samples=100, rng=random.Random(4)
     )
     assert report.additive
+
+
+class _SubsetsOfZeroOne(SizeAtMost):
+    """Lower but not left-invariant: the subsets of {0, 1} of Z/5."""
+
+    def contains(self, a: int) -> bool:
+        return a & ~0b11 == 0
+
+    def _random_member(self, rng: random.Random) -> int:
+        return rng.randrange(4)
+
+
+class _NotOneElement(SizeAtMost):
+    """Left-invariant but not lower: the subsets of Z/5 without exactly one
+    element."""
+
+    def contains(self, a: int) -> bool:
+        return a.bit_count() != 1
+
+    def _random_member(self, rng: random.Random) -> int:
+        return mask_of(Z5, rng.sample(range(5), rng.choice([0, 2, 3, 4, 5])))
+
+
+def test_axioms_report_a_family_that_is_not_left_invariant():
+    fam = _SubsetsOfZeroOne(Z5, 2)
+    report = check_axioms(fam, samples=200, rng=random.Random(5))
+    assert not report.left_invariant and report.lower
+    assert not report.is_base_family
+    x, g = report.witnesses["left_invariant"]
+    assert fam.contains(x) != fam.contains(mask_translate(Z5, x, g))
+
+
+def test_axioms_report_a_family_that_is_not_lower():
+    fam = _NotOneElement(Z5, 5)
+    report = check_axioms(fam, samples=200, rng=random.Random(6))
+    assert report.left_invariant and not report.lower
+    assert not report.is_base_family
+    a, b = report.witnesses["lower"]
+    assert fam.contains(a) and not fam.contains(b)
+    assert b & ~a == 0

@@ -4,7 +4,8 @@ Engine._period_witness derives only R, the finite part and the tails, and
 only while R has tails, at most once per distinct tail key; the rest of
 the branch is the longest run y, y - p, ... of R's finite part.  These
 tests read the witness off the full chain x, x & (x + p), ... instead,
-compare, and count the derives."""
+compare, and count the derives.  Replay derives a run of equal shifts by
+doubling; it is compared with the chain derived one shift at a time."""
 
 import random
 import time
@@ -82,9 +83,9 @@ def test_run_longer_than_the_depth_budget():
 
 
 def test_long_run_meets_finite_parts_by_hash():
-    """{0, 7, ..., 7 * 1599} | ap(7, 1): each derive meets two finite parts
-    of up to 1600 elements, by hash lookup, so the hunt and the replay stay
-    near-linear per step."""
+    """{0, 7, ..., 7 * 1599} | ap(7, 1): classify counts the run of 1600
+    without a derive, and the replay derives it along 7, 14, 28, ..., each
+    derive meeting two finite parts of up to 1600 elements by hash lookup."""
     n = 1600
     x = finite_set(range(0, 7 * n, 7)) | ap(7, 1)
     verdict = Engine().classify(x)
@@ -142,3 +143,35 @@ def test_hundred_thousand_run_is_counted_not_walked(monkeypatch):
     assert time.process_time() - t0 < 1.0
     assert calls == 0
     assert verdict.witness == CycleWitness((7,) * n, n, 7, 0)
+
+
+def _step_by_step(x: SymbolicSet, path) -> SymbolicSet:
+    for g in path:
+        x = x.intersect(x.translate(g))
+    return x
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_doubled_runs_match_the_step_by_step_chain(seed):
+    """derived_set derives a run of k equal shifts g along g, 2g, 4g, ...
+    and (k + 1 - 2^m)g, which have the same subset sums 0, g, ..., kg: the
+    result equals the chain derived one shift at a time, for runs of up to
+    12 shifts of either sign."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        x = random_set(rng, base=rng.choice([2, 2, 3]), max_geo=3, max_finite=8)
+        path = []
+        for _ in range(rng.randrange(1, 4)):
+            path += [rng.choice([-1, 1]) * rng.randrange(1, 7)] * rng.randrange(1, 13)
+        assert Engine().derived_set(x, path) == _step_by_step(x, path), (x, path)
+
+
+def test_hundred_thousand_run_replays_by_doubling():
+    """The witness of {0, 7, ..., 7 * 99999} | ap(7, 1) repeats the shift 7
+    a hundred thousand times; its replay takes about 17 derives."""
+    n = 100_000
+    x = finite_set(range(0, 7 * n, 7)) | ap(7, 1)
+    witness = CycleWitness((7,) * n, n, 7, 0)
+    t0 = time.process_time()
+    assert Engine().replay_witness(x, witness)
+    assert time.process_time() - t0 < 2.0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -641,6 +642,52 @@ def test_spectrum_class_children_exact_even_when_not_uniform(rng):
             g = cls.representative
             child = a & a.translate(g)
             assert child == cls.child
+
+
+def test_spectrum_classes_match_the_per_class_definition(rng):
+    """The class deltas are the differences of residues with residues and
+    with eventual tail residues, and a class is uniform when the set has no
+    tails and no finite element or pair of distinct finite elements lies
+    on its delta: checked class by class on sets whose finite parts often
+    hold one residue twice."""
+    uniform = nonuniform = 0
+    for _ in range(300):
+        a = random_set(rng, max_finite=8) | ap(rng.randrange(2, 9), rng.randrange(9))
+        p, rs = a.period, set(a.residues)
+        u, v = _powmod_orbit(a.base, p)
+        tres = {(cp * pow(a.base, m, p) + d) % p
+                for cp, d, s, j in a.tails for m in _orbit_split(s, j, u, v)[1]}
+        deltas = {(r1 - r2) % p for r1 in rs for r2 in rs}
+        deltas |= {(t - r) % p for t in tres for r in rs} | {(r - t) % p for t in tres for r in rs}
+        classes = a.shift_spectrum().classes
+        assert [c.residue for c in classes] == sorted(deltas)
+        for cls in classes:
+            expect = not a.tails and not any(
+                (f - cls.residue) % p in rs for f in a.finite
+            ) and not any(
+                (f1 - f2 - cls.residue) % p == 0
+                for f1 in a.finite for f2 in a.finite if f1 != f2
+            )
+            assert cls.uniform == expect, (a, cls.residue)
+            uniform += expect
+            nonuniform += not expect
+    assert uniform >= 100 and nonuniform >= 100
+
+
+@pytest.mark.parametrize("finite, zero_uniform", [
+    (range(0, 8633 * 100, 8633), False), (range(0, 898, 3), True),
+])
+def test_wide_spectrum_reads_classes_off_residue_sets(finite, zero_uniform):
+    """ap(97,1) | ap(89,2) has period 8633 and 8633 classes; with 100 or
+    300 finite elements the spectrum builds its residue sets once and
+    looks residues up in a set, so it stays well under 5 s.  The class of
+    delta 0 is uniform only when no residue is held twice."""
+    a = finite_set(finite) | ap(97, 1) | ap(89, 2)
+    t0 = time.process_time()
+    spec = a.shift_spectrum()
+    assert time.process_time() - t0 < 5.0
+    assert len(spec.classes) == 8633 and a.period == 8633
+    assert spec.classes[0].residue == 0 and spec.classes[0].uniform == zero_uniform
 
 
 # ---------------------------------------------------------------------------
