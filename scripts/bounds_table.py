@@ -12,7 +12,18 @@ stdout.
 import argparse
 import sys
 
-from thinlab.bounds import build_c_table, cubic_image_min
+from thinlab.bounds import c_n_k, c_of_n, cubic_image_min
+
+
+def csv_lines(ns: list[int], pairs: list[tuple[int, int]]) -> list[str]:
+    """c(n), its quadratic upper bound (n - 1)^2 + 1 and c(n, k), one row
+    each, under a header."""
+    return (
+        ["kind,n,k,value"]
+        + [f"c_exact,{n},,{c_of_n(n)}" for n in ns]
+        + [f"c_upper_bound,{n},,{(n - 1) ** 2 + 1}" for n in ns]
+        + [f"c_n_k,{n},{k},{c_n_k(n, k)}" for n, k in pairs]
+    )
 
 
 def int_range(spec: str) -> list[int]:
@@ -52,11 +63,11 @@ def main() -> int:
             (int(a), int(b))
             for a, b in (p.split(":") for p in args.pairs.split(",") if p)
         ]
-        table = build_c_table(ns, pairs)
-        csv = table.to_csv()
+        csv = "\n".join(csv_lines(ns, pairs)) + "\n"
         minima = []
         if args.show_minima:
-            for n, c in table.c_exact:
+            for n in ns:
+                c = c_of_n(n)
                 res = cubic_image_min(c, args.entry_bound)
                 minima.append(
                     f"# c({n}) = {c}: min image {res.min_image_size} "

@@ -106,30 +106,6 @@ def c_n_k(n: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CTable:
-    """Exact c values alongside the quadratic upper bound and the derived
-    union-level bounds."""
-
-    c_exact: tuple[tuple[int, int], ...]
-    c_upper_bound: tuple[tuple[int, int], ...]
-    c_n_k_values: tuple[tuple[int, int, int], ...]
-
-    def to_csv(self) -> str:
-        lines = ["kind,n,k,value"]
-        lines.extend(f"c_exact,{n},,{v}" for n, v in self.c_exact)
-        lines.extend(f"c_upper_bound,{n},,{v}" for n, v in self.c_upper_bound)
-        lines.extend(f"c_n_k,{n},{k},{v}" for n, k, v in self.c_n_k_values)
-        return "\n".join(lines) + "\n"
-
-
-def build_c_table(ns: list[int], pairs: list[tuple[int, int]]) -> CTable:
-    exact = tuple((n, c_of_n(n)) for n in ns)
-    upper = tuple((n, (n - 1) ** 2 + 1) for n in ns)
-    cnk = tuple((n, k, c_n_k(n, k)) for n, k in pairs)
-    return CTable(exact, upper, cnk)
-
-
 def escalate(
     a: SymbolicSet, engine: Engine | None = None, budget: Budget | None = None
 ) -> SymbolicSet:

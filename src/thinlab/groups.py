@@ -1,61 +1,52 @@
-"""Ambient finite groups: Z/n and (Z/2)^d.
+"""Ambient finite groups: products Z/m_0 x Z/m_1 x ... of cyclic groups.
 
-Elements are plain Python ints throughout: reduced residues 0..n-1 for
-Z/n, and d-bit masks for (Z/2)^d.  A subset is a bitmask with bit a set
-for each element a; `check_mask` is the one rule for what a valid mask
-is, and MAX_ORDER the one bound on the order of a group whose subsets
-the engine and the oracle take.  Subsets of Z are symbolic sets instead
-(`thinlab.symbolic`).
+An element is an int in mixed radix, factor 0 least significant, and the
+group adds digit by digit: Z/n is (n,) and (Z/2)^d is (2,)*d.  A subset is
+a bitmask with bit a set for each element a; `check_mask` is the one rule
+for what a valid mask is, and MAX_ORDER the one bound on the order of a
+group whose subsets the engine and the oracle take.  Subsets of Z are
+symbolic sets instead (`thinlab.symbolic`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
+from math import prod
 from typing import Iterator
-
-CYCLIC = "cyclic"
-BOOLEAN = "boolean"
 
 MAX_ORDER = 24
 
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """One of the supported finite abelian groups.
+    """The group Z/m_0 x Z/m_1 x ... of one or more moduli m_i >= 2."""
 
-    kind "cyclic" is Z/n (n >= 2); "boolean" is (Z/2)^d with n holding
-    the exponent d >= 1.
-    """
-
-    kind: str
-    n: int = 0
+    moduli: tuple[int, ...]
+    identity = 0
 
     @staticmethod
     def cyclic(n: int) -> "GroupDescriptor":
         if n < 2:
             raise ValueError(f"cyclic group needs modulus >= 2, got {n}")
-        return GroupDescriptor(CYCLIC, n)
+        return GroupDescriptor((n,))
 
     @staticmethod
     def boolean_power(d: int) -> "GroupDescriptor":
         if d < 1:
             raise ValueError(f"boolean power needs exponent >= 1, got {d}")
-        return GroupDescriptor(BOOLEAN, d)
+        if d > MAX_ORDER:
+            raise ValueError(f"boolean power needs exponent <= {MAX_ORDER}, got {d}")
+        return GroupDescriptor((2,) * d)
 
     def __post_init__(self) -> None:
-        if self.kind not in (CYCLIC, BOOLEAN):
-            raise ValueError(f"unknown group kind {self.kind!r}")
+        m = self.moduli
+        if type(m) is not tuple or not m or any(type(k) is not int or k < 2 for k in m):
+            raise ValueError(f"unknown group kind {m!r}")
 
     @cached_property
     def order(self) -> int:
-        if self.kind == CYCLIC:
-            return self.n
-        return 1 << self.n
-
-    @property
-    def identity(self) -> int:
-        return 0
+        return prod(self.moduli)
 
     def _check(self, a: int) -> None:
         """Raise TypeError unless a is a plain int (so not a bool), and
@@ -68,9 +59,11 @@ class GroupDescriptor:
     def op(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.kind == CYCLIC:
-            return (a + b) % self.n
-        return a ^ b
+        total, stride = 0, 1
+        for n in self.moduli:
+            total += (a // stride + b // stride) % n * stride
+            stride *= n
+        return total
 
     def elements(self) -> Iterator[int]:
         """All elements in deterministic (numeric) order."""
@@ -80,9 +73,30 @@ class GroupDescriptor:
         return iter(range(1, self.order))
 
     def describe(self) -> str:
-        if self.kind == CYCLIC:
-            return f"Z/{self.n}"
-        return f"(Z/2)^{self.n}"
+        m = self.moduli
+        if len(m) > 1 and set(m) == {2}:
+            return f"(Z/2)^{len(m)}"
+        return " x ".join(f"Z/{n}" for n in m)
+
+    @cached_property
+    def _layout(self) -> tuple[tuple, dict, int, int, int]:
+        """(moves, steps, s, order, full), s the last factor's stride.  Per
+        other factor moves holds (n, stride, table), table[a - 1] the (low,
+        up, high, down) moving the bits of digit below n - a up by a*stride,
+        the rest down by (n - a)*stride; steps[r] caches the moves of r's digits."""
+        full = (1 << self.order) - 1
+        moves, s = [], 1
+        for n in self.moduli[:-1]:
+            rep = full // ((1 << n * s) - 1)  # one bit at the start of each block
+            lows = [((1 << k * s) - 1) * rep for k in range(n)]
+            moves.append((n, s, tuple((lows[n - a], a * s, lows[a], (n - a) * s) for a in range(1, n))))
+            s *= n
+        return tuple(moves), {}, s, self.order, full
+
+    @cached_property
+    def _tops(self) -> tuple[tuple[int, int], ...]:
+        """(up, down) of the rotation by each nonzero digit of the last factor."""
+        return tuple((up, self.order - up) for up in range(self._layout[2], self.order, self._layout[2]))
 
 
 def mask_of(group: GroupDescriptor, elements: "Iterator[int] | list[int] | set[int]") -> int:
@@ -109,41 +123,27 @@ def mask_elements(group: GroupDescriptor, mask: int) -> list[int]:
 
 
 def mask_translate(group: GroupDescriptor, mask: int, g: int) -> int:
-    """Bitmask of {g + a : a in mask} under the group operation: on Z/n a
-    left rotation by g, on (Z/2)^d one block swap per set bit of g."""
+    """Bitmask of {g + a : a in mask}: one move per nonzero digit of g, the last a rotation."""
     check_mask(group, mask)
     group._check(g)
-    if group.kind == CYCLIC:
-        n = group.n
-        return (mask << g | mask >> (n - g)) & ((1 << n) - 1)
-    for bit, low in _swap_masks(group.n):
-        if g & bit:
-            mask = (mask & low) << bit | (mask >> bit) & low
-    return mask
+    moves, steps, s, order, full = group._layout
+    r = g % s
+    if r:
+        if r not in steps:
+            steps[r] = [table[a - 1] for n, stride, table in moves if (a := r // stride % n)]
+        for low, up, high, down in steps[r]:
+            mask = (mask & low) << up | (mask >> down) & high
+    up = g - r
+    return (mask << up | mask >> (order - up)) & full
 
 
 def mask_orbit(group: GroupDescriptor, mask: int) -> list[int]:
-    """All |G| translates of a mask already checked, the one by g at index
-    g, in one pass.  On Z/n each is a left rotation, read off the mask
-    written twice over.  On (Z/2)^d, XOR with 2^i swaps blocks of 2^i bits,
-    so each bit doubles the list."""
-    n = group.order
-    if group.kind == CYCLIC:
-        twice, full = mask | mask << n, (1 << n) - 1
-        return [twice >> (n - g) & full for g in range(n)]
+    """All |G| translates of a mask already checked, the one by g at index g."""
+    moves, _, s, n, full = group._layout
+    if s == 1:
+        twice = mask | mask << n
+        return [twice >> down & full for down in range(n, 0, -1)]
     out = [mask]
-    for bit, low in _swap_masks(group.n):
-        out += [(m & low) << bit | (m >> bit) & low for m in out]
-    return out
-
-
-@cache
-def _swap_masks(d: int) -> tuple[tuple[int, int], ...]:
-    """For each bit i < d, the pair (2^i, low): low is the mask of the
-    positions in 0..2^d-1 whose bit i is clear, runs of 2^i ones and 2^i
-    zeros from bit 0 up."""
-    span = (1 << (1 << d)) - 1
-    return tuple(
-        (1 << i, ((1 << (1 << i)) - 1) * (span // ((1 << (2 << i)) - 1)))
-        for i in range(d)
-    )
+    for _, _, table in moves:
+        out += [(m & low) << up | (m >> down) & high for low, up, high, down in table for m in out]
+    return out + [(m << up | m >> down) & full for up, down in group._tops for m in out]

@@ -5,7 +5,6 @@ import pytest
 from thinlab.bounds import (
     CubicSearchResult,
     UnionLevelReport,
-    build_c_table,
     c_n_k,
     c_of_n,
     cubic_image_min,
@@ -163,18 +162,6 @@ def test_c_n_k_validation():
         c_n_k(0, 1)
     with pytest.raises(ValueError):
         c_n_k(2, -1)
-
-
-def test_c_table_csv():
-    table = build_c_table([2, 3], [(2, 1), (2, 2)])
-    lines = table.to_csv().splitlines()
-    assert lines[0] == "kind,n,k,value"
-    assert "c_exact,2,,2" in lines
-    assert "c_exact,3,,3" in lines
-    assert "c_upper_bound,2,,2" in lines
-    assert "c_upper_bound,3,,5" in lines
-    assert "c_n_k,2,1,1" in lines
-    assert "c_n_k,2,2,16" in lines
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -485,6 +486,28 @@ def test_oracle_rejects_oversized_group(capsys, tmp_path):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "d", ["25", "100000000", "1000000000", "9" * 4000], ids=lambda d: f"{len(d)}_digits"
+)
+def test_oracle_refuses_a_boolean_power_past_max_order(capsys, tmp_path, d):
+    """The exponent is bounded before the group is built, so a huge one
+    allocates nothing and is refused at once."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--group", "b" + d, "--t", "1", "--out", str(tmp_path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: boolean power needs exponent <= 24, got {d}\n"
+
+
+def test_oracle_on_b1_names_the_group_z2(capsys, tmp_path):
+    """(Z/2)^1 is the group Z/2, and is named so."""
+    code, out, _ = run(capsys, "oracle", "--group", "b1", "--t", "0", "--out", str(tmp_path))
+    assert code == 0
+    assert out.startswith("group: Z/2\n")
+    assert "cross_check: Z/2 with size bound 0: 4 subsets, agree" in out
+    assert json.loads((tmp_path / "oracle_b1_t0.json").read_text())["group"] == "Z/2"
 
 
 def test_oracle_rejects_unknown_group(capsys, tmp_path):

@@ -713,7 +713,10 @@ def test_periodic_anchor_and_match_translate_agree_with_search_over_all_shifts()
 @pytest.mark.parametrize(
     "group",
     [GroupDescriptor.cyclic(n) for n in range(2, 11)]
-    + [GroupDescriptor.boolean_power(d) for d in range(1, 4)],
+    # (Z/2)^1 is the group Z/2 again; its own id keeps the Z/2 case's id unique
+    + [pytest.param(GroupDescriptor.boolean_power(1), id="(Z/2)^1")]
+    + [GroupDescriptor.boolean_power(d) for d in range(2, 4)]
+    + [GroupDescriptor(m) for m in ((2, 4), (3, 3), (2, 2, 3))],
     ids=lambda g: g.describe(),
 )
 def test_mask_containing_a_translate_of_itself_equals_it(group):

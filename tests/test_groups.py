@@ -15,11 +15,35 @@ from thinlab.ideals import SizeAtMost
 
 Z5 = GroupDescriptor.cyclic(5)
 B3 = GroupDescriptor.boolean_power(3)
+# Products whose elements have mixed orders
+PRODUCTS = [
+    GroupDescriptor(m) for m in ((2, 4), (4, 2), (3, 3), (2, 6), (2, 2, 3), (3, 2, 2), (2, 3, 2))
+]
+SMALL_GROUPS = (
+    [GroupDescriptor.cyclic(n) for n in range(2, 11)]
+    # (Z/2)^1 is the group Z/2 again; its own id keeps the Z/2 case's id unique
+    + [pytest.param(GroupDescriptor.boolean_power(1), id="(Z/2)^1")]
+    + [GroupDescriptor.boolean_power(d) for d in range(2, 4)]
+    + PRODUCTS
+)
 
 
 def test_descriptor_orders():
     assert GroupDescriptor.cyclic(7).order == 7
     assert GroupDescriptor.boolean_power(4).order == 16
+    assert GroupDescriptor((2, 2, 3)).order == 12
+
+
+def test_descriptor_names_and_equality():
+    """Z/n for one factor, (Z/2)^d for d >= 2 factors of 2, otherwise the
+    factors joined by x; (Z/2)^1 is Z/2."""
+    assert GroupDescriptor.cyclic(12).describe() == "Z/12"
+    assert GroupDescriptor.boolean_power(3).describe() == "(Z/2)^3"
+    assert GroupDescriptor((2, 4)).describe() == "Z/2 x Z/4"
+    assert GroupDescriptor((2, 2, 3)).describe() == "Z/2 x Z/2 x Z/3"
+    assert GroupDescriptor.boolean_power(1) == GroupDescriptor.cyclic(2)
+    assert GroupDescriptor.boolean_power(1).describe() == "Z/2"
+    assert GroupDescriptor((2, 2)) == GroupDescriptor.boolean_power(2)
 
 
 def test_descriptor_validation():
@@ -35,6 +59,10 @@ def test_op_examples():
     assert Z5.op(3, 4) == 2
     # (Z/2)^3: 101 xor 011 = 110
     assert B3.op(0b101, 0b011) == 0b110
+    # Z/2 x Z/4, digit 0 first: (1,0) + (1,2) = (0,2) and (1,1) + (1,3) = (0,0)
+    z2z4 = GroupDescriptor((2, 4))
+    assert z2z4.op(1, 5) == 4
+    assert z2z4.op(3, 7) == 0
 
 
 def test_element_range_enforced():
@@ -55,7 +83,8 @@ def test_enumeration_deterministic():
 
 @pytest.mark.parametrize(
     "group",
-    [Z5, GroupDescriptor.cyclic(9), B3, GroupDescriptor.boolean_power(5)],
+    [Z5, GroupDescriptor.cyclic(9), B3, GroupDescriptor.boolean_power(5)]
+    + [GroupDescriptor(m) for m in ((2, 4), (3, 2, 2), (4, 6))],
     ids=lambda g: g.describe(),
 )
 def test_group_axioms_random_triples(group, rng):
@@ -110,12 +139,7 @@ def _translate_by_op(group, mask, g):
     return out
 
 
-@pytest.mark.parametrize(
-    "group",
-    [GroupDescriptor.cyclic(n) for n in range(2, 11)]
-    + [GroupDescriptor.boolean_power(d) for d in range(1, 4)],
-    ids=lambda g: g.describe(),
-)
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.describe())
 def test_mask_translate_exhaustive_small(group):
     for mask in range(1 << group.order):
         for g in group.elements():
@@ -132,11 +156,6 @@ def test_mask_translate_random_large(group, rng):
     for mask in [0, full] + [rng.randint(0, full) for _ in range(300)]:
         g = rng.randrange(group.order)
         assert mask_translate(group, mask, g) == _translate_by_op(group, mask, g)
-
-
-SMALL_GROUPS = [GroupDescriptor.cyclic(n) for n in range(2, 11)] + [
-    GroupDescriptor.boolean_power(d) for d in range(1, 4)
-]
 
 
 def _orbit_matches_checked_path(group, masks):
@@ -160,7 +179,8 @@ def test_orbit_matches_checked_translate_exhaustive(group):
 
 @pytest.mark.parametrize(
     "group",
-    [GroupDescriptor.cyclic(16), GroupDescriptor.boolean_power(4)],
+    [GroupDescriptor.cyclic(16), GroupDescriptor.boolean_power(4)]
+    + [GroupDescriptor(m) for m in ((4, 4), (2, 8), (8, 2), (3, 5), (2, 4, 2))],
     ids=lambda g: g.describe(),
 )
 def test_orbit_matches_checked_translate_sampled(group):

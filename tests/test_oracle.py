@@ -26,6 +26,21 @@ Z5 = GroupDescriptor.cyclic(5)
 Z7 = GroupDescriptor.cyclic(7)
 B2 = GroupDescriptor.boolean_power(2)
 B3 = GroupDescriptor.boolean_power(3)
+# Products whose elements have mixed orders, all of order at most 12
+PRODUCTS = [GroupDescriptor(m) for m in ((2, 4), (4, 2), (3, 3), (2, 6), (2, 2, 3), (2, 3, 2))]
+
+
+def case_id(value) -> str:
+    """Test id of one parameter.  Z/n and (Z/2)^d keep the ids they had
+    when a descriptor held a kind and a number; products are described."""
+    if not isinstance(value, GroupDescriptor):
+        return str(value)
+    m = value.moduli
+    if len(m) == 1:
+        return f"GroupDescriptor(kind='cyclic', n={m[0]})"
+    if set(m) == {2}:
+        return f"GroupDescriptor(kind='boolean', n={len(m)})"
+    return value.describe()
 
 
 def table(group: GroupDescriptor, t: int) -> OracleTable:
@@ -202,7 +217,9 @@ def test_fixpoint_matches_recursive(group, t):
 @pytest.mark.parametrize(
     "group,t",
     [(GroupDescriptor.cyclic(n), t) for n in (8, 9, 12) for t in range(4)]
-    + [(GroupDescriptor.boolean_power(4), t) for t in (1, 2)],
+    + [(GroupDescriptor.boolean_power(4), t) for t in (1, 2)]
+    + [(group, t) for group in PRODUCTS for t in range(4)]
+    + [(GroupDescriptor((4, 4)), 1)],
     ids=lambda v: v.describe() if isinstance(v, GroupDescriptor) else str(v),
 )
 def test_fixpoint_matches_recursive_with_stabilizers(group, t):
@@ -223,7 +240,7 @@ def test_z16_table_digest():
     assert tab.bottom_count() == 58975
 
 
-@pytest.mark.parametrize("group,t", [(Z5, 1), (Z5, 0), (B3, 2)], ids=str)
+@pytest.mark.parametrize("group,t", [(Z5, 1), (Z5, 0), (B3, 2)], ids=case_id)
 def test_fixpoint_matches_independent_dfs(group, t):
     assert list(table(group, t).levels) == independent_levels(group, t)
 
@@ -286,7 +303,11 @@ def test_levels_monotone_under_subset():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("group,t", [(Z5, 1), (B3, 1), (Z7, 0)], ids=str)
+@pytest.mark.parametrize(
+    "group,t",
+    [(Z5, 1), (B3, 1), (Z7, 0)] + [(group, t) for group in PRODUCTS for t in range(3)],
+    ids=case_id,
+)
 def test_cross_check_agreement(group, t):
     report = cross_check(table(group, t))
     assert report.ok
@@ -409,7 +430,7 @@ def test_write_tables_never_holds_a_whole_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "group,name", [(Z5, "z5"), (B3, "b3"), (GroupDescriptor.cyclic(13), "z13")], ids=str
+    "group,name", [(Z5, "z5"), (B3, "b3"), (GroupDescriptor.cyclic(13), "z13")], ids=case_id
 )
 def test_written_tables_match_to_csv_and_to_json(group, name, tmp_path):
     """Z/13 has 8192 subsets, so its files are written in two pieces."""

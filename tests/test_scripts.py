@@ -72,6 +72,19 @@ def test_bounds_table_csv_parses(tmp_path):
     assert {r["kind"] for r in rows} == {"c_exact", "c_upper_bound", "c_n_k"}
 
 
+def test_c_table_csv(tmp_path):
+    proc = run_script("bounds_table.py", "--ns", "2:3", "--pairs", "2:1,2:2", cwd=tmp_path)
+    assert proc.stdout.splitlines() == [
+        "kind,n,k,value",
+        "c_exact,2,,2",
+        "c_exact,3,,3",
+        "c_upper_bound,2,,2",
+        "c_upper_bound,3,,5",
+        "c_n_k,2,1,1",
+        "c_n_k,2,2,16",
+    ]
+
+
 def test_bounds_table_is_exact_past_64(tmp_path):
     proc = run_script("bounds_table.py", "--ns", "63:66", cwd=tmp_path)
     lines = proc.stdout.splitlines()

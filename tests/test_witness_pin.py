@@ -27,11 +27,11 @@ GROUPS = [GroupDescriptor.cyclic(n) for n in range(2, 9)] + [
     GroupDescriptor.boolean_power(d) for d in range(1, 4)
 ]
 
-FINITE_DIGEST = "4f98b300e29ea2ee7c4efb5b578b562876ec9ec3108beba863e0f81504960195"
+FINITE_DIGEST = "c9feab9e7df2c4e82f95158400413c1061081bfd773f017b79b78187b223afff"
 SYMBOLIC_DIGEST = "bd28d83092c0f54062aebabdfce1cd983b8f2b65c0cbd4cadbe04f0ff544764b"
 STARVED_DIGEST = "20514821a2f5736df11e08299fd076c663c6b1a53a40cbb58aa81a435673625e"
 RANK_DIGEST = "fa4bd61ca20d5b3047cb6db43f29d98771b6ed88c7d6a211b0fdc2a6b9ce7fb1"
-FINITE_STARVED_DIGEST = "50e8dd2c45bcd987fa85b739795bda6f125c2f8cedb407289327aa1c64092c3a"
+FINITE_STARVED_DIGEST = "ff0ca13d6b655c2ea5fba9892337ceb38e7bbc9b4e7c2f60a36aec9635fc134a"
 STARVED = (Budget(max_nodes=3), Budget(max_depth=1))
 FINITE_STARVED = STARVED + (Budget(max_nodes=40),)
 RANK_BUDGETS = (Budget(),) + FINITE_STARVED
