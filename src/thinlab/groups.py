@@ -18,6 +18,14 @@ from typing import Iterator
 MAX_ORDER = 24
 
 
+def int_text(x: int) -> str:
+    """x in decimal, or its sign and bit length where str() refuses it."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit int>"
+
+
 @dataclass(frozen=True)
 class GroupDescriptor:
     """The group Z/m_0 x Z/m_1 x ... of one or more moduli m_i >= 2."""
@@ -28,15 +36,15 @@ class GroupDescriptor:
     @staticmethod
     def cyclic(n: int) -> "GroupDescriptor":
         if n < 2:
-            raise ValueError(f"cyclic group needs modulus >= 2, got {n}")
+            raise ValueError(f"cyclic group needs modulus >= 2, got {int_text(n)}")
         return GroupDescriptor((n,))
 
     @staticmethod
     def boolean_power(d: int) -> "GroupDescriptor":
         if d < 1:
-            raise ValueError(f"boolean power needs exponent >= 1, got {d}")
+            raise ValueError(f"boolean power needs exponent >= 1, got {int_text(d)}")
         if d > MAX_ORDER:
-            raise ValueError(f"boolean power needs exponent <= {MAX_ORDER}, got {d}")
+            raise ValueError(f"boolean power needs exponent <= {MAX_ORDER}, got {int_text(d)}")
         return GroupDescriptor((2,) * d)
 
     def __post_init__(self) -> None:
@@ -54,7 +62,7 @@ class GroupDescriptor:
         if type(a) is not int:
             raise TypeError(f"expected a group element, got {type(a).__name__}")
         if not 0 <= a < self.order:
-            raise ValueError(f"element {a!r} not in {self.describe()}")
+            raise ValueError(f"element {int_text(a)} not in {self.describe()}")
 
     def op(self, a: int, b: int) -> int:
         self._check(a)
@@ -114,7 +122,7 @@ def check_mask(group: GroupDescriptor, mask: int) -> None:
     if type(mask) is not int:
         raise TypeError(f"expected a bitmask subset, got {type(mask).__name__}")
     if not 0 <= mask < (1 << group.order):
-        raise ValueError(f"mask {mask} out of range for {group.describe()}")
+        raise ValueError(f"mask {int_text(mask)} out of range for {group.describe()}")
 
 
 def mask_elements(group: GroupDescriptor, mask: int) -> list[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from random import Random
 
 from .bounds import (
@@ -53,6 +53,17 @@ class SuiteResult:
     unknowns: int = 0
     failures: list[str] = field(default_factory=list)
 
+    def check(self, ok: bool | None, failure: str, *args, count: int = 1) -> bool:
+        """Count `count` checks (one by default).  ok None tallies an
+        unknown; ok False records failure.format(*args), formatted only
+        then.  Returns whether ok."""
+        self.checks += count
+        if ok is None:
+            self.unknowns += 1
+        elif not ok:
+            self.failures.append(failure.format(*args))
+        return bool(ok)
+
     @property
     def outcome(self) -> str:
         if self.failures:
@@ -75,6 +86,11 @@ class _Ctx:
         return max(1, min(full, self.trials))
 
 
+def _known(ok: bool, *verdicts) -> bool | None:
+    """ok, or None (an unknown) when any of the verdicts is Unknown."""
+    return None if any(isinstance(v, Unknown) for v in verdicts) else ok
+
+
 _ORACLE_GROUPS = (
     ("z3", GroupDescriptor.cyclic(3)),
     ("z5", GroupDescriptor.cyclic(5)),
@@ -84,32 +100,20 @@ _ORACLE_GROUPS = (
 )
 
 
-def _is_unknown_mismatch(entry: tuple) -> bool:
-    _, _, verdict, rank = entry
-    return isinstance(verdict, Unknown) or isinstance(rank, Unknown)
-
-
 def _suite_oracle_agreement(ctx: _Ctx) -> SuiteResult:
     res = SuiteResult("finite-oracle-agreement")
     for name, group in _ORACLE_GROUPS:
         for t in (0, 1, 2):
             family = SizeAtMost(group, t)
             axioms = check_axioms(family, samples=24, rng=ctx.rng(10 + t))
-            res.checks += 1
-            if not axioms.left_invariant or not axioms.lower:
-                res.failures.append(f"{name} t={t}: base family axioms broken")
-            table = build_table(group, family)
-            report = cross_check(table, ctx.budget)
-            res.checks += report.checked
-            for entry in report.mismatches:
-                if _is_unknown_mismatch(entry):
-                    res.unknowns += 1
-                else:
-                    m, expected, verdict, rank = entry
-                    res.failures.append(
-                        f"{name} t={t} mask={m}: table {expected}, "
-                        f"engine {verdict}, rank {rank}"
-                    )
+            res.check(axioms.left_invariant and axioms.lower,
+                      "{} t={}: base family axioms broken", name, t)
+            report = cross_check(build_table(group, family), ctx.budget)
+            res.checks += report.checked  # the mismatches are among these
+            for m, expected, verdict, rank in report.mismatches:
+                res.check(_known(False, verdict, rank),
+                          "{} t={} mask={}: table {}, engine {}, rank {}",
+                          name, t, m, expected, verdict, rank, count=0)
     return res
 
 
@@ -119,26 +123,14 @@ def _suite_escalation(ctx: _Ctx) -> SuiteResult:
     a = geo(2, 1, 0, 0)
     for i in range(5):
         verdict = engine.classify(a, ctx.budget)
-        res.checks += 1
-        if isinstance(verdict, Unknown):
-            res.unknowns += 1
-            break
-        if not isinstance(verdict, ExactLevel):
-            res.failures.append(f"stage {i}: unexpected {verdict}")
-            break
-        if verdict.level != i + 1:
-            res.failures.append(
-                f"stage {i}: level {verdict.level}, expected {i + 1}"
-            )
+        exact = isinstance(verdict, ExactLevel)
+        ok = _known(exact and verdict.level == i + 1, verdict)
+        failure = "stage {0}: level {1.level}, expected {2}" if exact else "stage {0}: unexpected {1}"
+        if not res.check(ok, failure, i, verdict, i + 1):
             break
         rank = engine.tree_rank(a, ctx.budget)
-        res.checks += 1
-        if isinstance(rank, Unknown):
-            res.unknowns += 1
-        elif rank != verdict.level:
-            res.failures.append(
-                f"stage {i}: tree rank {rank} != level {verdict.level}"
-            )
+        res.check(_known(rank == verdict.level, rank),
+                  "stage {}: tree rank {} != level {}", i, rank, verdict.level)
         if i < 4:
             a = escalate(a, engine, ctx.budget)
     return res
@@ -149,33 +141,20 @@ def _suite_bottom_certificates(ctx: _Ctx) -> SuiteResult:
     engine = Engine(SymbolicUniverse())
     for a in (ap(2, 0), ap(1, 0), ap(2, 0).translate(7)):
         verdict = engine.classify(a, ctx.budget)
-        res.checks += 1
-        if not isinstance(verdict, NotInThinCompletion):
-            res.failures.append(f"{a!r}: expected a certificate, got {verdict}")
-            continue
-        res.checks += 1
-        if not engine.replay_witness(a, verdict.witness):
-            res.failures.append(f"{a!r}: witness replay failed")
+        if res.check(isinstance(verdict, NotInThinCompletion),
+                     "{!r}: expected a certificate, got {}", a, verdict):
+            res.check(engine.replay_witness(a, verdict.witness),
+                      "{!r}: witness replay failed", a)
     return res
 
 
 def _suite_cubic_bounds(ctx: _Ctx) -> SuiteResult:
     res = SuiteResult("subset-sum-image-bounds")
-    # Literal sweep over nonzero entries for the two small cases.
-    for n, m in ((2, 2), (3, 5)):
-        entries = [e for e in range(-3, 4) if e != 0]
-        vecs = [()]
-        for _ in range(m):
-            vecs = [v + (e,) for v in vecs for e in entries]
-        for vec in vecs:
-            res.checks += 1
-            if _subset_sum_count(vec) <= n:
-                res.failures.append(f"n={n}: image too small for {vec}")
+    # Literal sweep over nonzero entries for the two small cases, then
     # n = 4 via the sign/permutation reduction to sorted positive vectors.
-    for vec in combinations_with_replacement((1, 2, 3), 10):
-        res.checks += 1
-        if _subset_sum_count(vec) <= 4:
-            res.failures.append(f"n=4: image too small for {vec}")
+    nonzero = [e for e in range(-3, 4) if e != 0]
+    sweeps = [("", n, vec) for n, m in ((2, 2), (3, 5)) for vec in product(nonzero, repeat=m)]
+    sweeps += [("", 4, vec) for vec in combinations_with_replacement((1, 2, 3), 10)]
     # Random large-entry vectors.
     rng = ctx.rng(40)
     for _ in range(ctx.cap(10_000)):
@@ -184,9 +163,9 @@ def _suite_cubic_bounds(ctx: _Ctx) -> SuiteResult:
         vec = tuple(
             rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(m)
         )
-        res.checks += 1
-        if _subset_sum_count(vec) <= n:
-            res.failures.append(f"random n={n}: image too small for {vec}")
+        sweeps.append(("random ", n, vec))
+    for kind, n, vec in sweeps:
+        res.check(_subset_sum_count(vec) > n, "{}n={}: image too small for {}", kind, n, vec)
     # c(n) against the exhaustive search, and inside its sandwich, n <= 5.
     for n in range(1, 6):
         value, upper = c_of_n(n), (n - 1) ** 2 + 1
@@ -194,11 +173,9 @@ def _suite_cubic_bounds(ctx: _Ctx) -> SuiteResult:
         searched = next(
             (m for m in lengths if cubic_image_min(m, 3).min_image_size > n), None
         )
-        res.checks += 1
-        if value != searched or not n <= value <= upper:
-            res.failures.append(
-                f"c({n}) = {value}: search gives {searched}, sandwich [{n}, {upper}]"
-            )
+        res.check(value == searched and n <= value <= upper,
+                  "c({}) = {}: search gives {}, sandwich [{}, {}]",
+                  n, value, searched, n, upper)
     return res
 
 
@@ -214,52 +191,39 @@ def _suite_union_bounds(ctx: _Ctx) -> SuiteResult:
         attempts += 1
         s = random_set(rng, max_geo=2, max_ap=0, max_finite=3)
         verdict = engine.classify(s, ctx.budget)
-        if isinstance(verdict, Unknown):
-            res.unknowns += 1
-            continue
+        res.check(_known(True, verdict), "", count=0)  # an unknown draw is no check
         if not isinstance(verdict, ExactLevel) or verdict.level > 2:
             continue
         pool.append(s)
         if len(pool) < 2:
             continue
         a, b = pool.pop(), pool.pop()
-        res.checks += 1
         done += 1
         try:
             report = union_level_check(a, b, engine, ctx.budget)
         except AssertionError as exc:
-            res.failures.append(str(exc))
+            res.check(False, "{}", exc)
             continue
-        if report.inconclusive:
-            res.unknowns += 1
-        elif report.within_adjusted_bound is False:
-            res.failures.append(
-                f"union level {report.union_level} exceeds adjusted bound "
-                f"{report.adjusted_bound} for {a!r} | {b!r}"
-            )
-    if done < target and not res.failures and res.unknowns == 0:
-        res.failures.append(
-            f"only {done}/{target} classified pairs found in {attempts} attempts"
-        )
+        res.check(None if report.inconclusive else report.within_adjusted_bound is not False,
+                  "union level {} exceeds adjusted bound {} for {!r} | {!r}",
+                  report.union_level, report.adjusted_bound, a, b)
+    # too few pairs is a failure only when no failure or unknown explains it
+    res.check(done == target or res.outcome != "PASS",
+              "only {}/{} classified pairs found in {} attempts",
+              done, target, attempts, count=0)
     return res
 
 
 def _suite_boolean(ctx: _Ctx) -> SuiteResult:
     res = SuiteResult("boolean-non-additivity")
     witness = boolean_non_additivity_witness(3, 1)
-    res.checks += 1
-    if witness is None:
-        res.failures.append("no witness found over (Z/2)^3 with bound 1")
-    else:
+    if res.check(witness is not None, "no witness found over (Z/2)^3 with bound 1"):
         mask, x = witness
         group = GroupDescriptor.boolean_power(3)
         engine = Engine(FiniteGroupUniverse(SizeAtMost(group, 1)))
         union = mask | mask_translate(group, mask, x)
-        res.checks += 2
-        if not engine.is_thin(mask):
-            res.failures.append(f"witness mask {mask} is not thin")
-        if engine.is_thin(union):
-            res.failures.append(f"witness union {union} is thin")
+        res.check(engine.is_thin(mask), "witness mask {} is not thin", mask)
+        res.check(not engine.is_thin(union), "witness union {} is thin", union)
     # x-invariance of A | (x + A), exhaustive for small Boolean powers.
     for d in range(1, 5):
         group = GroupDescriptor.boolean_power(d)
@@ -269,23 +233,23 @@ def _suite_boolean(ctx: _Ctx) -> SuiteResult:
             for mask in range(1, total):
                 low = mask & -mask
                 table[mask] = table[mask ^ low] | 1 << group.op(x, low.bit_length() - 1)
-            for mask in range(total):
+            for mask in range(total):  # one check per mask up to the first failure
                 union = mask | table[mask]
-                res.checks += 1
                 if table[union] != union:
-                    res.failures.append(
-                        f"d={d} x={x} mask={mask}: union not x-invariant"
-                    )
                     break
+            res.check(table[union] == union, "d={} x={} mask={}: union not x-invariant",
+                      d, x, mask, count=mask + 1)
     return res
 
 
-def _verdict_key(verdict) -> tuple | None:
+def _verdict_key(verdict):
+    """What translation and scaling keep: the level, or bottom.  An Unknown
+    is returned as it is."""
     if isinstance(verdict, ExactLevel):
         return ("level", verdict.level)
     if isinstance(verdict, NotInThinCompletion):
         return ("bottom",)
-    return None
+    return verdict
 
 
 def _suite_invariance(ctx: _Ctx) -> SuiteResult:
@@ -294,29 +258,15 @@ def _suite_invariance(ctx: _Ctx) -> SuiteResult:
     rng = ctx.rng(70)
     for _ in range(ctx.cap(100)):
         s = random_set(rng)
-        base_key = _verdict_key(engine.classify(s, ctx.budget))
-        res.checks += 1
-        if base_key is None:
-            res.unknowns += 1
+        base = _verdict_key(engine.classify(s, ctx.budget))
+        if not res.check(_known(True, base), ""):
             continue
         g = rng.choice([v for v in range(-9, 10) if v != 0])
-        moved_key = _verdict_key(engine.classify(s.translate(g), ctx.budget))
-        res.checks += 1
-        if moved_key is None:
-            res.unknowns += 1
-        elif moved_key != base_key:
-            res.failures.append(
-                f"translate by {g} changed {base_key} to {moved_key} on {s!r}"
-            )
         k = rng.choice((2, 3, 5))
-        scaled_key = _verdict_key(engine.classify(s.scale(k), ctx.budget))
-        res.checks += 1
-        if scaled_key is None:
-            res.unknowns += 1
-        elif scaled_key != base_key:
-            res.failures.append(
-                f"scale by {k} changed {base_key} to {scaled_key} on {s!r}"
-            )
+        for op, by, moved in (("translate", g, s.translate(g)), ("scale", k, s.scale(k))):
+            key = _verdict_key(engine.classify(moved, ctx.budget))
+            res.check(_known(key == base, key), "{} by {} changed {} to {} on {!r}",
+                      op, by, base, key, s)
     return res
 
 
@@ -347,9 +297,8 @@ def _suite_window_soundness(ctx: _Ctx) -> SuiteResult:
             b = random_set(rng)
             result = a.intersect(b)
             expect = set(a.window(lo, hi)) & set(b.window(lo, hi))
-        res.checks += 1
-        if set(result.window(lo, hi)) != expect:
-            res.failures.append(f"{op} window mismatch on {a!r}")
+        if not res.check(set(result.window(lo, hi)) == expect,
+                         "{} window mismatch on {!r}", op, a):
             break
     # Incremental versus closed-form derived sets.
     engine = Engine(SymbolicUniverse())
@@ -367,11 +316,8 @@ def _suite_window_soundness(ctx: _Ctx) -> SuiteResult:
         closed = a
         for s in sorted(sums - {0}):
             closed = closed.intersect(a.translate(s))
-        res.checks += 1
-        if incremental != closed:
-            res.failures.append(
-                f"derived set mismatch on {a!r} along {path}"
-            )
+        if not res.check(incremental == closed,
+                         "derived set mismatch on {!r} along {}", a, path):
             break
     return res
 
@@ -393,22 +339,14 @@ def _suite_engine_limits(ctx: _Ctx) -> SuiteResult:
     for probe in (chain, geo(2, 1, 0, 0).union(geo(2, 3, 10, 0)), ap(2, 0)):
         first = Engine(SymbolicUniverse()).classify(probe, tiny)
         second = Engine(SymbolicUniverse()).classify(probe, tiny)
-        res.checks += 2
-        if first != second:
-            res.failures.append(f"nondeterministic verdict on {probe!r}")
-        if isinstance(first, Unknown):
-            res.checks += 1
-            if first.nodes_used > tiny.max_nodes + 1:
-                res.failures.append(
-                    f"unknown verdict overran the node budget on {probe!r}"
-                )
-            if first.depth_reached > tiny.max_depth:
-                res.failures.append(
-                    f"unknown verdict overran the depth budget on {probe!r}"
-                )
-    res.checks += 1
-    if not isinstance(Engine(SymbolicUniverse()).classify(chain, tiny), Unknown):
-        res.failures.append("deep probe classified under a 3-node budget")
+        res.check(first == second, "nondeterministic verdict on {!r}", probe, count=2)
+        if isinstance(first, Unknown):  # one check of both budgets
+            res.check(first.nodes_used <= tiny.max_nodes + 1,
+                      "unknown verdict overran the node budget on {!r}", probe)
+            res.check(first.depth_reached <= tiny.max_depth,
+                      "unknown verdict overran the depth budget on {!r}", probe, count=0)
+    res.check(isinstance(Engine(SymbolicUniverse()).classify(chain, tiny), Unknown),
+              "deep probe classified under a 3-node budget")
     return res
 
 

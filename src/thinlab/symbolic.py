@@ -37,6 +37,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .groups import int_text
+
 DEFAULT_BASE = 2
 
 # residue enumeration over mixed progression moduli stops here; beyond it
@@ -274,20 +276,16 @@ def _normalize(
         mods = {m for m, _ in periodic}
         big = math.lcm(*mods)
         if len(mods) > 1 and big > PERIOD_ENUM_LIMIT:
-            raise ValueError(
-                "progression moduli with lcm %d exceed the "
-                "canonicalization limit %d" % (big, PERIOD_ENUM_LIMIT)
-            )
+            raise ValueError(f"progression moduli with lcm {int_text(big)} exceed "
+                             f"the canonicalization limit {PERIOD_ENUM_LIMIT}")
         present = frozenset(
             x for m, rs in periodic for r in rs for x in range(r, big, m)
         )
         p = _minimal_shift_period(big, present)
         residues = sorted({r % p for r in present})
         if parts and p > PERIOD_ENUM_LIMIT:
-            raise ValueError(
-                "geometric terms cannot be reduced against a periodic "
-                "part with period %d (limit %d)" % (p, PERIOD_ENUM_LIMIT)
-            )
+            raise ValueError(f"geometric terms cannot be reduced against a periodic "
+                             f"part with period {int_text(p)} (limit {PERIOD_ENUM_LIMIT})")
     resset = frozenset(residues)
 
     # Geometric families keyed by (reduced coeff, offset).  Each family's
@@ -608,12 +606,11 @@ def _geo_geo(
 
     Equal keys reduce to intersecting the one-sided exponent progressions
     {s + j*a : a >= 0}, by the CRT above the larger start.  Distinct keys
-    meet finitely often: writing the difference of offsets as D, any common
-    value has min(m, k) bounded by the b0-adic valuation of D, so it is one
-    of either tail's values at an exponent up to that bound.  A common
-    value cp1 * b0**m + d1 = cp2 * b0**k + d2 also makes D a multiple of
-    gcd(cp1, cp2), so a pair that fails that test meets nowhere;
-    _partner_index pairs only the tails that pass it.
+    meet finitely often.  A common value cp1 * b0**m + d1 = cp2 * b0**k + d2
+    has m == k and (cp1 - cp2) * b0**m = D = d2 - d1, or else min(m, k) is
+    exactly the b0-adic valuation v of D, as no cp carries a factor of b0;
+    so each side tests only those two exponents, both at most v.  D is also
+    a multiple of gcd(cp1, cp2), the test by which _partner_index pairs tails.
     """
     cp1, d1, s1, j1 = part1
     cp2, d2, s2, j2 = part2
@@ -627,13 +624,14 @@ def _geo_geo(
     diff = d2 - d1
     if diff == 0:
         return [], []
-    vmax = _val(b0, diff)
+    v = _val(b0, diff)
     vals: set[int] = set()
     for (ca, da, sa, ja), (cb, db, sb, jb) in ((part1, part2), (part2, part1)):
-        for m in range(sa, vmax + 1, ja):
-            k = _solve_pow(ca * b0**m + da - db, cb, b0)
-            if k is not None and k >= sb and (k - sb) % jb == 0:
-                vals.add(ca * b0**m + da)
+        for m in (v, _solve_pow(diff, cp1 - cp2, b0)) if v >= sa else ():
+            if m is not None and m >= sa and (m - sa) % ja == 0:
+                k = _solve_pow(ca * b0**m + da - db, cb, b0)
+                if k is not None and k >= sb and (k - sb) % jb == 0:
+                    vals.add(ca * b0**m + da)
     return [], sorted(vals)
 
 

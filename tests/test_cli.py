@@ -178,6 +178,19 @@ def test_huge_start_index_reports_at_once(command):
     assert huge[0] == 2 and "Exceeds the limit (4300 digits)" in huge[1] + huge[2]
 
 
+@pytest.mark.parametrize("coeff, level", [(3, 1), (1, 2)])
+def test_tails_with_offsets_far_apart_classify_at_once(capsys, coeff, level):
+    """Two tails whose offsets differ by D = 2**4000 (1205 digits) can
+    meet only where the smaller exponent is 4000, the 2-adic valuation of
+    D, or where both exponents agree, so their intersection tests those
+    exponents and does not walk the 4000 below."""
+    start = time.process_time()
+    code, out, _ = run(capsys, "classify", f"geo(2,1,0,0) | geo(2,{coeff},{2**4000},0)",
+                       "--no-timing")
+    assert time.process_time() - start < 5
+    assert code == 0 and out.endswith(f"verdict: exact_level\nlevel: {level}\n")
+
+
 def test_classify_bad_base(capsys):
     """A base the parser rejects: `error:` on stderr in text mode, the
     JSON object in JSON mode."""
@@ -531,20 +544,100 @@ def test_oracle_reports_an_unwritable_out_path(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+SELFTEST_SEED7 = """\
+thinlab selftest
+seed: 7
+trials: 40
+budget: depth=32 nodes=100000
+
+[1/9] finite-oracle-agreement .............. PASS (1335 checks)
+[2/9] hierarchy-escalation ................. PASS (10 checks)
+[3/9] bottom-certificates .................. PASS (6 checks)
+[4/9] subset-sum-image-bounds .............. PASS (7923 checks)
+[5/9] union-level-bounds ................... PASS (40 checks)
+[6/9] boolean-non-additivity ............... PASS (984887 checks)
+[7/9] level-invariance ..................... PASS (120 checks)
+[8/9] symbolic-window-soundness ............ PASS (80 checks)
+[9/9] engine-limits ........................ PASS (8 checks)
+
+result: PASS (9 suites, 994409 checks, 0 failures, 0 unknown)
+"""
+
+SELFTEST_STARVED = """\
+thinlab selftest
+seed: 0
+trials: 5
+budget: depth=32 nodes=1
+
+[1/9] finite-oracle-agreement .............. UNKNOWN (1335 checks, 742 unknown)
+[2/9] hierarchy-escalation ................. UNKNOWN (3 checks, 1 unknown)
+[3/9] bottom-certificates .................. PASS (6 checks)
+[4/9] subset-sum-image-bounds .............. PASS (7888 checks)
+[5/9] union-level-bounds ................... UNKNOWN (5 checks, 2 unknown)
+[6/9] boolean-non-additivity ............... PASS (984887 checks)
+[7/9] level-invariance ..................... PASS (15 checks)
+[8/9] symbolic-window-soundness ............ PASS (10 checks)
+[9/9] engine-limits ........................ PASS (8 checks)
+
+result: PASS (9 suites, 994157 checks, 0 failures, 745 unknown)
+"""
+
+
 def test_selftest_small_run(capsys):
     code, out, _ = run(capsys, "selftest", "--trials", "40", "--seed", "7")
-    assert code == 0
-    assert "result: PASS" in out
-    assert out.count("PASS") >= 9
+    assert (code, out) == (0, SELFTEST_SEED7)
 
 
 def test_selftest_starved_budget_still_passes(capsys):
     code, out, _ = run(
         capsys, "selftest", "--trials", "5", "--max-nodes", "1"
     )
-    assert code == 0
-    assert "result: PASS" in out
-    assert "unknown" in out
+    assert (code, out) == (0, SELFTEST_STARVED)
+
+
+def test_selftest_reports_broken_checks(capsys, monkeypatch):
+    """A broken check prints FAIL on its suite line with at most five
+    notes, and the run ends FAIL with exit code 1.  Three suites are broken
+    by hand: every subset-sum count is 0, no witness replays, and each
+    oracle cross-check reports one level mismatch."""
+    import thinlab.selftest
+    from thinlab.engine import Engine, ExactLevel
+    from thinlab.oracle import CrossCheckReport
+
+    monkeypatch.setattr(thinlab.selftest, "_subset_sum_count", lambda vec: 0)
+    monkeypatch.setattr(Engine, "replay_witness", lambda self, a, w: False)
+    monkeypatch.setattr(
+        thinlab.selftest, "cross_check",
+        lambda table, budget: CrossCheckReport(
+            table.group, table.family.t, 4, ((5, 1, ExactLevel(2), 2),)
+        ),
+    )
+    code, out, _ = run(capsys, "selftest", "--trials", "5")
+    lines = out.splitlines()
+    assert code == 1
+    assert [line for line in lines if line.startswith("[")] == [
+        "[1/9] finite-oracle-agreement .............. FAIL (75 checks)",
+        "[2/9] hierarchy-escalation ................. PASS (10 checks)",
+        "[3/9] bottom-certificates .................. FAIL (6 checks)",
+        "[4/9] subset-sum-image-bounds .............. FAIL (7888 checks)",
+        "[5/9] union-level-bounds ................... PASS (5 checks)",
+        "[6/9] boolean-non-additivity ............... PASS (984887 checks)",
+        "[7/9] level-invariance ..................... PASS (15 checks)",
+        "[8/9] symbolic-window-soundness ............ PASS (10 checks)",
+        "[9/9] engine-limits ........................ PASS (8 checks)",
+    ]
+    notes = [line for line in lines if line.startswith("      ! ")]
+    assert notes == [
+        *(f"      ! {g} t={t} mask=5: table 1, engine ExactLevel(level=2), rank 2"
+          for g, t in (("z3", 0), ("z3", 1), ("z3", 2), ("z5", 0), ("z5", 1))),
+        "      ! ap(2,0): witness replay failed",
+        "      ! ap(1,0): witness replay failed",
+        "      ! ap(2,1): witness replay failed",
+        *(f"      ! n=2: image too small for (-3, {e})" for e in (-3, -2, -1, 1, 2)),
+    ]
+    assert lines[-1] == (
+        "result: FAIL (9 suites, 992904 checks, 7901 failures, 0 unknown)"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,21 @@ def test_union_chain_errors_are_the_folds():
         assert (e.position, e.message) == (11, lcm_error)
 
 
+def test_limit_errors_name_a_huge_period_by_bit_length():
+    """The lcm of two 3000-digit moduli, and a 4001-digit modulus scaled by
+    10**4000, have too many digits for str(), so the errors name them by
+    their bit length."""
+    e = err(f"ap({10**2999 + 1},0) | ap({10**2999 + 3},0)")
+    assert e.message == (
+        "progression moduli with lcm <19925-bit int> exceed the canonicalization limit 1000000"
+    )
+    e = err(f"{10**4000}*ap({10**4000},1) | geo(2,1,0,0)")
+    assert e.message == (
+        "geometric terms cannot be reduced against a periodic part with period "
+        "<26576-bit int> (limit 1000000)"
+    )
+
+
 def test_semantic_errors_become_parse_errors():
     e = err("0*geo(2,1,0,0)")
     assert (e.position, e.message) == (1, "cannot scale a set by 0")

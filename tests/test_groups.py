@@ -53,6 +53,10 @@ def test_descriptor_validation():
         GroupDescriptor.boolean_power(0)
     with pytest.raises(ValueError):
         GroupDescriptor("weird")
+    with pytest.raises(ValueError, match=r"^cyclic group needs modulus >= 2, got -<20001-bit int>$"):
+        GroupDescriptor.cyclic(-(1 << 20000))
+    with pytest.raises(ValueError, match=r"^boolean power needs exponent <= 24, got <20001-bit int>$"):
+        GroupDescriptor.boolean_power(1 << 20000)
 
 
 def test_op_examples():
@@ -72,6 +76,11 @@ def test_element_range_enforced():
         B3.op(0, 8)
     with pytest.raises(ValueError):
         Z5.op(-1, 2)
+    # an int too long for str() is named by its bit length
+    with pytest.raises(ValueError, match=r"^element <20001-bit int> not in Z/5$"):
+        Z5.op(1 << 20000, 0)
+    with pytest.raises(ValueError, match=r"^mask -<20001-bit int> out of range for \(Z/2\)\^3$"):
+        check_mask(B3, -(1 << 20000))
 
 
 def test_enumeration_deterministic():
@@ -196,10 +205,10 @@ def test_mask_translate_validation(group):
         for g in (True, False, 1.0):
             with pytest.raises(TypeError, match="expected a group element"):
                 mask_translate(group, mask, g)
-        for g in (n, -1):
+        for g in (n, -1, 1 << 20000):
             with pytest.raises(ValueError, match="not in"):
                 mask_translate(group, mask, g)
-    for mask in (1 << n, -1):
+    for mask in (1 << n, -1, 1 << 20000):
         with pytest.raises(ValueError, match="out of range"):
             mask_translate(group, mask, 1)
 
@@ -226,7 +235,7 @@ def test_every_mask_entry_point_keeps_one_rule(group):
         for bad in (True, 1.0, "1"):
             with pytest.raises(TypeError, match="expected a bitmask subset"):
                 call(bad)
-        for bad in (-1, 1 << group.order):
+        for bad in (-1, 1 << group.order, 1 << 20000):
             with pytest.raises(ValueError, match="out of range"):
                 call(bad)
     with pytest.raises(ValueError, match="unknown group kind"):
@@ -252,6 +261,6 @@ def test_every_shift_entry_point_checks_its_shift(group):
         for bad in (True, 1.0):
             with pytest.raises(TypeError, match="expected a group element"):
                 call(bad)
-        for bad in (-1, group.order):
+        for bad in (-1, group.order, 1 << 20000):
             with pytest.raises(ValueError, match="not in"):
                 call(bad)

@@ -471,6 +471,68 @@ def test_partner_index_keeps_every_pair_that_meets():
     assert met_same > 50 and met_cross > 200
 
 
+def _geo_geo_by_walk(part1, part2, b0: int) -> list[int]:
+    """The common values of two tails of distinct keys, found by walking
+    either tail's exponents up to the b0-adic valuation v of the offset
+    difference and solving for the other tail's exponent at each one."""
+    def exponent(y, c):  # e >= 0 with c * b0**e == y, or None
+        if y % c or y // c < 1:
+            return None
+        q, e = y // c, 0
+        while q % b0 == 0:
+            q, e = q // b0, e + 1
+        return e if q == 1 else None
+
+    diff, v = part2[1] - part1[1], 0
+    while diff % b0**(v + 1) == 0:
+        v += 1
+    vals = set()
+    for (ca, da, sa, ja), (cb, db, sb, jb) in ((part1, part2), (part2, part1)):
+        for m in range(sa, v + 1, ja):
+            k = exponent(ca * b0**m + da - db, cb)
+            if k is not None and k >= sb and (k - sb) % jb == 0:
+                vals.add(ca * b0**m + da)
+    return sorted(vals)
+
+
+def test_geo_geo_tests_two_exponents_like_the_walk():
+    """Two tails of distinct keys meet only where min(m, k) is the b0-adic
+    valuation of the offset difference, or where m == k: over prime and
+    composite bases, coefficients of both signs and valuations up to about
+    200, _geo_geo finds exactly the values that the walk over every
+    exponent up to that valuation finds.  More than half of the pairs are
+    built through a common value."""
+    rng = random.Random(2028)
+    met = same_exponent = 0
+    for b0 in (2, 3, 4, 6, 10):
+        top = {2: 200, 3: 120, 4: 100, 6: 80, 10: 60}[b0]
+        for _ in range(300):
+            tails = []
+            while len(tails) < 2:
+                cp = rng.choice([-1, 1]) * rng.randrange(1, 40)
+                if cp % b0:
+                    tails.append((cp, rng.randint(-50, 50), rng.randrange(4), rng.randrange(1, 4)))
+            (cp1, d1, s1, j1), (cp2, _, s2, j2) = tails
+            roll = rng.random()
+            shared = 0.4 <= roll < 0.6 and cp1 != cp2
+            if roll < 0.4:  # through a common value at exponents m and k
+                m, k = rng.randrange(top), rng.randrange(top)
+                d2 = cp1 * b0**m + d1 - cp2 * b0**k
+            elif shared:  # through a common value at one shared exponent
+                m = rng.randrange(top)
+                d2 = d1 + (cp1 - cp2) * b0**m
+            else:
+                d2 = d1 + rng.choice([-1, 1]) * rng.randrange(1, 2**20) * b0**rng.randrange(top)
+            part1, part2 = (cp1, d1, s1, j1), (cp2, d2, s2, j2)
+            if part1[:2] == part2[:2]:
+                continue
+            found, vals = _geo_geo(part1, part2, b0)
+            assert found == [] and vals == _geo_geo_by_walk(part1, part2, b0), (part1, part2, b0)
+            met += bool(vals)
+            same_exponent += shared and bool(vals)
+    assert met > 250 and same_exponent > 60
+
+
 def _reference_intersect(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     """a & b with no pair skipped: every tail of a meets every tail of b
     through _geo_geo, and every cross-key coincidence among the resulting
