@@ -29,13 +29,12 @@ from .engine import (
     ExactLevel,
     NotInThinCompletion,
     SymbolicUniverse,
-    TreeDump,
     TreeNode,
     Unknown,
     MAX_DUMP_DEPTH,
     check_dump_depth,
 )
-from .groups import GroupDescriptor
+from .groups import GroupDescriptor, short_repr
 from .ideals import SizeAtMost
 from .oracle import build_table, cross_check
 from .selftest import run_selftest
@@ -213,7 +212,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
     prints it), else as text on stderr; a bad --depth is a command error."""
     check_dump_depth(args.depth)  # main reports its ValueError
 
-    def work() -> tuple[TreeDump, int]:
+    def work() -> tuple[TreeNode, int]:
         a = parse_set(args.expr, base=args.base)
         return Engine(SymbolicUniverse()).tree_dump(a, depth=args.depth), EXIT_OK
 
@@ -229,7 +228,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
     elif args.format == "dot":
         print(dump.to_dot())
     else:
-        print("\n".join(_tree_text(dump.root)))
+        print("\n".join(_tree_text(dump)))
     return EXIT_OK
 
 
@@ -238,14 +237,14 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 def _parse_group(name: str) -> GroupDescriptor:
     kind, digits = name[:1].lower(), name[1:]
-    if not digits.isdigit():
-        raise ValueError(f"unknown group {name!r}: expected zN or bD")
-    n = int(digits)
-    if kind == "z":
-        return GroupDescriptor.cyclic(n)
-    if kind == "b":
-        return GroupDescriptor.boolean_power(n)
-    raise ValueError(f"unknown group {name!r}: expected zN or bD")
+    if kind not in ("z", "b") or not digits.isdigit():
+        raise ValueError(f"unknown group {short_repr(name)}: expected zN or bD")
+    # int() refuses a literal past the interpreter's digit limit, so the
+    # digits are read a thousand at a time
+    n = 0
+    for i in range(0, len(digits), 1000):
+        n = n * 10 ** len(digits[i:i + 1000]) + int(digits[i:i + 1000])
+    return GroupDescriptor.cyclic(n) if kind == "z" else GroupDescriptor.boolean_power(n)
 
 
 def _write_tables(table, out: str, name: str, t: int) -> tuple[str, str]:

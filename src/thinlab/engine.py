@@ -62,11 +62,12 @@ translate of it.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .groups import MAX_ORDER, check_mask, mask_elements, mask_orbit, mask_translate
+from .groups import MAX_ORDER, check_mask, int_text, mask_elements, mask_orbit, mask_translate
 from .ideals import FiniteSets, SizeAtMost
 from .symbolic import ShiftSpectrum, SymbolicSet
 
@@ -297,7 +298,7 @@ class FiniteGroupUniverse:
         self.family = family
         if self.group.order > MAX_ORDER:
             raise ValueError(
-                f"group order {self.group.order} exceeds supported maximum {MAX_ORDER}"
+                f"group order {int_text(self.group.order)} exceeds supported maximum {MAX_ORDER}"
             )
 
     def validate(self, x: int) -> None:
@@ -357,18 +358,9 @@ class TreeNode:
             "classes": self.classes,
         }
 
-
-@dataclass
-class TreeDump:
-    root: TreeNode
-
-    def to_dict(self) -> dict:
-        return self.root.to_dict()
-
     def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2)
+        """to_dict as JSON on one line, so linear in the size of the tree."""
+        return json.dumps(self.to_dict())
 
     def to_dot(self) -> str:
         lines = ["digraph derivation_tree {", '  node [shape=box, fontname="monospace"];']
@@ -393,7 +385,7 @@ class TreeDump:
                 lines.append(f"  n{nid} -> n{cid} [style=dashed];")
             return nid
 
-        visit(self.root)
+        visit(self)
         lines.append("}")
         return "\n".join(lines)
 
@@ -479,9 +471,9 @@ class Engine:
         except _BudgetStop as stop:
             return stop.unknown
 
-    def tree_dump(self, x, depth: int = 3) -> TreeDump:
-        """The derivation tree to the given depth.  Ranks are filled in
-        only where the subtree was fully expanded."""
+    def tree_dump(self, x, depth: int = 3) -> TreeNode:
+        """The root of the derivation tree to the given depth.  Ranks are
+        filled in only where the subtree was fully expanded."""
         check_dump_depth(depth)
         self.universe.validate(x)
 
@@ -519,7 +511,7 @@ class Engine:
                 node.rank = 1 + max((ch.rank for _, ch in node.children), default=0)
             return node
 
-        return TreeDump(build(x, (), depth))
+        return build(x, (), depth)
 
     def replay_witness(self, x, witness: CycleWitness) -> bool:
         """Recompute the derived sets named by a witness, a run of k equal

@@ -10,6 +10,7 @@ symbolic sets instead (`thinlab.symbolic`).
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -24,6 +25,19 @@ def int_text(x: int) -> str:
         return str(x)
     except ValueError:
         return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit int>"
+
+
+class _ShortRepr(reprlib.Repr):
+    """reprlib's bounded repr, naming the ints str() refuses by int_text."""
+
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return int_text(x)
+
+
+short_repr = _ShortRepr().repr
 
 
 @dataclass(frozen=True)
@@ -50,7 +64,7 @@ class GroupDescriptor:
     def __post_init__(self) -> None:
         m = self.moduli
         if type(m) is not tuple or not m or any(type(k) is not int or k < 2 for k in m):
-            raise ValueError(f"unknown group kind {m!r}")
+            raise ValueError(f"unknown group kind {short_repr(m)}")
 
     @cached_property
     def order(self) -> int:
@@ -84,7 +98,7 @@ class GroupDescriptor:
         m = self.moduli
         if len(m) > 1 and set(m) == {2}:
             return f"(Z/2)^{len(m)}"
-        return " x ".join(f"Z/{n}" for n in m)
+        return " x ".join(f"Z/{int_text(n)}" for n in m)
 
     @cached_property
     def _layout(self) -> tuple[tuple, dict, int, int, int]:

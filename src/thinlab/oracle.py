@@ -36,7 +36,7 @@ from .engine import (
     NOT_WELL_FOUNDED,
     NotInThinCompletion,
 )
-from .groups import MAX_ORDER, GroupDescriptor
+from .groups import MAX_ORDER, GroupDescriptor, int_text
 from .ideals import SizeAtMost
 
 BOTTOM = -1
@@ -133,7 +133,7 @@ def build_table(group: GroupDescriptor, family: SizeAtMost) -> OracleTable:
     Levels fit a signed byte: a level is at most |G| <= MAX_ORDER = 24,
     or BOTTOM; `array("b")` raises OverflowError past 127."""
     if group.order > MAX_ORDER:
-        raise ValueError(f"subset lattice 2^{group.order} exceeds 2^{MAX_ORDER}")
+        raise ValueError(f"subset lattice 2^{int_text(group.order)} exceeds 2^{MAX_ORDER}")
     if family.group != group:
         raise ValueError("family is defined over a different group")
     tables = _image_tables(group)

@@ -46,24 +46,13 @@ DEFAULT_BASE = 2
 PERIOD_ENUM_LIMIT = 1_000_000
 
 
-def _val(b: int, x: int) -> int:
-    """b-adic valuation of x != 0."""
+def _val(b: int, x: int) -> tuple[int, int]:
+    """(n, x // b**n) for the b-adic valuation n of x != 0."""
     n = 0
     while x % b == 0:
         x //= b
         n += 1
-    return n
-
-
-def _pow_exponent(z: int, b: int) -> int | None:
-    """e with b**e == z, or None."""
-    if z < 1:
-        return None
-    e = 0
-    while z % b == 0:
-        z //= b
-        e += 1
-    return e if z == 1 else None
+    return n, x
 
 
 def _solve_pow(y: int, c: int, b: int) -> int | None:
@@ -73,7 +62,8 @@ def _solve_pow(y: int, c: int, b: int) -> int | None:
     q, r = divmod(y, c)
     if r != 0 or q < 1:
         return None
-    return _pow_exponent(q, b)
+    e, unit = _val(b, q)
+    return e if unit == 1 else None
 
 
 def _divisors(n: int) -> list[int]:
@@ -161,8 +151,7 @@ class GeoTerm:
             raise ValueError(f"start index must be >= 0, got {self.n0}")
 
     def member(self, x: int) -> bool:
-        e = _solve_pow(x - self.offset, self.coeff, self.base)
-        return e is not None and e >= self.n0
+        return _in_tail(x, _geo_parts(self, self.base), self.base)
 
 
 @dataclass(frozen=True, order=True)
@@ -185,37 +174,35 @@ class APTerm:
 def _geo_parts(term: GeoTerm, b0: int) -> Tail:
     """The tail (reduced coeff, offset, start exponent, exponent step) of a
     literal term over base b0."""
-    j = _pow_exponent(term.base, b0)
+    j = _solve_pow(term.base, 1, b0)
     if j is None or j == 0:
         raise ValueError(f"base {term.base} is not a positive power of session base {b0}")
-    t = _val(b0, term.coeff)
-    cp = term.coeff // b0**t
+    t, cp = _val(b0, term.coeff)
     return cp, term.offset, t + j * term.n0, j
 
 
-def _strip_periodic(
-    cp: int, d: int, ap_list: list[tuple[int, int]], singles: set[int],
-    p: int, resset: frozenset[int], b0: int,
-) -> tuple[list[tuple[int, int]], set[int]]:
-    """Remove exponents whose value lies in the periodic part."""
+def _split_at_period(tails: Sequence[Tail], p: int, b0: int) -> list[tuple[Tail, int]]:
+    """Cut tails where b0**m mod p turns periodic, and pair each piece with
+    the residue mod p that all its values share.  A piece (cp, d, m, step)
+    is one periodic class of a tail's exponents; a piece (cp, d, m, 0), the
+    tail {cp * b0**m + d} of step 0, is an exponent below the preperiod or
+    a single exponent as given.  The orbit of b0 mod p, O(p) to find, is
+    only sought when there are tails."""
+    if not tails:
+        return []
     u, v = _powmod_orbit(b0, p)
-
-    def in_p(m: int) -> bool:
-        return (cp * pow(b0, m, p) + d) % p in resset
-
-    out_singles = {m for m in singles if not in_p(m)}
-    out_aps: list[tuple[int, int]] = []
-    for s, j in ap_list:
-        head, firsts, step = _orbit_split(s, j, u, v)
-        out_singles.update(m for m in head if not in_p(m))
-        out_aps.extend((m, step) for m in firsts if not in_p(m))
-    return out_aps, out_singles
+    pieces: list[Tail] = []
+    for cp, d, s, j in tails:
+        head, firsts, step = _orbit_split(s, j, u, v) if j else ((s,), (), 0)
+        pieces += [(cp, d, m, 0) for m in head] + [(cp, d, m, step) for m in firsts]
+    return [((cp, d, m, q), (cp * pow(b0, m, p) + d) % p) for cp, d, m, q in pieces]
 
 
 def _decompose_family(
-    ap_list: list[tuple[int, int]], singles: set[int]
+    pieces: list[tuple[int, int]]
 ) -> tuple[list[tuple[int, int]], list[int]]:
-    """Canonical tails (start, period) plus leftover exponents.
+    """Canonical tails (start, period) plus leftover exponents, of the
+    exponents m + q*a, a >= 0, of each piece (m, q), m alone when q is 0.
 
     The eventual period is minimal and each tail extends as far down as
     membership continues; finitely many exponents fall outside every tail.
@@ -225,6 +212,8 @@ def _decompose_family(
     classes mod Q, or at its least class member when none is missing, so
     the work does not grow with the gaps between start exponents.
     """
+    ap_list = [(s, j) for s, j in pieces if j]
+    singles = {m for m, j in pieces if not j}
     if not ap_list:
         return [], sorted(singles)
     big_q = math.lcm(*[j for _, j in ap_list])
@@ -262,7 +251,6 @@ def _normalize(
 ) -> SymbolicSet:
     """The canonical set of raw parts: tails need not be canonical, and
     the periodic parts (modulus, residues) may mix moduli."""
-    periodic = [(m, rs) for m, rs in periodic if rs]
     finite = set(finite)
 
     # Periodic part: the union of the input progressions is itself the
@@ -270,14 +258,21 @@ def _normalize(
     # a residue class), stored as minimal period plus residues.  Each
     # residue is lifted to the lcm of the moduli; mixed moduli can make
     # that wide, so they are capped, while one shared modulus lifts nothing.
+    # Past the cap, a modulus with every residue still makes the part Z.
+    periodic = [(m, rs) for m, rs in periodic if rs]
     p = None
     residues: list[int] = []
     if periodic:
         mods = {m for m, _ in periodic}
         big = math.lcm(*mods)
         if len(mods) > 1 and big > PERIOD_ENUM_LIMIT:
-            raise ValueError(f"progression moduli with lcm {int_text(big)} exceed "
-                             f"the canonicalization limit {PERIOD_ENUM_LIMIT}")
+            by_mod: dict[int, set[int]] = {}
+            for m, rs in periodic:
+                by_mod.setdefault(m, set()).update(rs)
+            if not any(len(rs) == m for m, rs in by_mod.items()):
+                raise ValueError(f"progression moduli with lcm {int_text(big)} exceed "
+                                 f"the canonicalization limit {PERIOD_ENUM_LIMIT}")
+            periodic, big = [(1, (0,))], 1
         present = frozenset(
             x for m, rs in periodic for r in rs for x in range(r, big, m)
         )
@@ -290,18 +285,14 @@ def _normalize(
 
     # Geometric families keyed by (reduced coeff, offset).  Each family's
     # exponent set is made semantic: native exponents, plus coincidences
-    # with other keys' terms, plus representable finite inputs.  The result
-    # depends only on the denoted set, not on how it was presented, at the
-    # cost of letting two tails share finitely many values.
-    fams: dict[tuple[int, int], tuple[list[tuple[int, int]], set[int]]] = {}
-    for cp, d, s, j in parts:
-        fams.setdefault((cp, d), ([], set()))[0].append((s, j))
-
-    tails: list[Tail] = []
-    pool: set[int] = set(finite)
+    # with other keys' terms, plus representable finite inputs, each of
+    # these a piece (cp, d, m, 0).  The result depends only on the denoted
+    # set, not on how it was presented, at the cost of letting two tails
+    # share finitely many values.  The exponents whose value lies in the
+    # periodic part are cut away before each family is decomposed.
+    pieces: list[Tail] = list(parts)
     partners = _partner_index(parts)
-    for (cp, d) in sorted(fams):
-        ap_list, singles = fams[(cp, d)]
+    for cp, d in {t[:2] for t in parts}:
         values = list(finite)
         for part in partners(cp, d):
             if part[:2] != (cp, d):
@@ -309,17 +300,22 @@ def _normalize(
         for v in values:
             m = _solve_pow(v - d, cp, base)
             if m is not None:
-                singles.add(m)
-        if p is not None:
-            ap_list, singles = _strip_periodic(cp, d, ap_list, singles, p, resset, base)
-        fam_tails, leftovers = _decompose_family(ap_list, singles)
+                pieces.append((cp, d, m, 0))
+    if p is not None and parts:
+        pieces = [t for t, r in _split_at_period(pieces, p, base) if r not in resset]
+    fams: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for cp, d, m, q in pieces:
+        fams.setdefault((cp, d), []).append((m, q))
+
+    tails: list[Tail] = []
+    pool: set[int] = set(finite)
+    for (cp, d), fam in fams.items():
+        fam_tails, leftovers = _decompose_family(fam)
         tails.extend((cp, d, m0, q) for m0, q in fam_tails)
         pool.update(cp * base**m + d for m in leftovers)
-
-    kept = [x for x in pool if p is None or x % p not in resset]
-    if tails:
-        kept = [x for x in kept if not any(_in_tail(x, t, base) for t in tails)]
-    return SymbolicSet(tuple(sorted(kept)), tuple(sorted(tails)), p, tuple(residues), base)
+    terms = SymbolicSet((), tuple(sorted(tails)), p, tuple(residues), base)
+    kept = pool - terms._in_terms(pool)
+    return SymbolicSet(tuple(sorted(kept)), terms.tails, p, terms.residues, base) if kept else terms
 
 
 @dataclass(frozen=True)
@@ -337,15 +333,13 @@ class SymbolicSet:
     # -- queries ---------------------------------------------------------
 
     def member(self, x: int) -> bool:
-        p = self.period
-        return (x in self.finite or p is not None and x % p in self.residues
-                or any(_in_tail(x, t, self.base) for t in self.tails))
+        return x in self.finite or x in self._in_terms((x,))
 
     def _in_terms(self, xs: Iterable[int]) -> set[int]:
         """The elements of xs that lie in the periodic part or a tail."""
-        p, rs, tails = self.period, frozenset(self.residues), self.tails
+        p, rs, tails, b0 = self.period, frozenset(self.residues), self.tails, self.base
         return {x for x in xs if p is not None and x % p in rs
-                or tails and any(_in_tail(x, t, self.base) for t in tails)}
+                or tails and any(_in_tail(x, t, b0) for t in tails)}
 
     def __contains__(self, x: int) -> bool:
         return self.member(x)
@@ -423,8 +417,8 @@ class SymbolicSet:
         b0, p = self.base, self.period
         tails = []
         for cp, d, m0, q in self.tails:
-            t = _val(b0, cp * k)
-            tails.append((cp * k // b0**t, d * k, m0 + t, q))
+            t, ck = _val(b0, cp * k)
+            tails.append((ck, d * k, m0 + t, q))
         periodic = []
         if p is not None:
             pk = p * abs(k)
@@ -456,11 +450,11 @@ class SymbolicSet:
             if p is None or not parts:
                 continue
             rset = frozenset(periodic.residues)
-            orbit = _powmod_orbit(b0, p)
-            for part in parts:
-                found, vals = _geo_in_ap(part, p, rset, orbit, b0)
-                tails.extend(found)
-                fin.update(vals)
+            for (cp, d, m, q), r in _split_at_period(parts, p, b0):
+                if r in rset and q:
+                    tails.append((cp, d, m, q))
+                elif r in rset:  # one value, below the preperiod
+                    fin.add(cp * b0**m + d)
 
         partners = _partner_index(other.tails)
         for part1 in self.tails:
@@ -515,9 +509,7 @@ class SymbolicSet:
         classes: list[ClassShift] = []
         p, rs = self.period, frozenset(self.residues)
         if p is not None:
-            u, v = _powmod_orbit(self.base, p)
-            tres = {(cp * pow(self.base, m, p) + d) % p
-                    for cp, d, s, j in ts for m in _orbit_split(s, j, u, v)[1]}
+            tres = {r for (_, _, _, q), r in _split_at_period(ts, p, self.base) if q}
             deltas = {(r1 - r2) % p for r1 in rs for r2 in rs}
             deltas |= {sign * (t - r) % p for t in tres for r in rs for sign in (1, -1)}
             fs = set() if ts else {f % p for f in self.finite}
@@ -538,21 +530,6 @@ class SymbolicSet:
         bits.extend(f"geo({b},{c},{d},0)" for b, c, d in self._printed_tails())
         bits.extend(f"ap({self.period},{r})" for r in self.residues)
         return " | ".join(bits) if bits else "{}"
-
-
-def _geo_in_ap(
-    part: Tail, p: int, rset: frozenset[int], orbit: tuple[int, int], b0: int
-) -> tuple[list[Tail], list[int]]:
-    """Exact intersection of a tail with the periodic part of residues rset
-    mod p; orbit is _powmod_orbit(b0, p)."""
-    cp, d, s, j = part
-    head, firsts, step = _orbit_split(s, j, *orbit)
-
-    def hits(exponents: range) -> list[int]:
-        return [m for m in exponents if (cp * pow(b0, m, p) + d) % p in rset]
-
-    vals = [cp * b0**m + d for m in hits(head)]
-    return [(cp, d, m, step) for m in hits(firsts)], vals
 
 
 def _residue_meet(
@@ -624,7 +601,7 @@ def _geo_geo(
     diff = d2 - d1
     if diff == 0:
         return [], []
-    v = _val(b0, diff)
+    v = _val(b0, diff)[0]
     vals: set[int] = set()
     for (ca, da, sa, ja), (cb, db, sb, jb) in ((part1, part2), (part2, part1)):
         for m in (v, _solve_pow(diff, cp1 - cp2, b0)) if v >= sa else ():

@@ -9,8 +9,8 @@ import time
 import pytest
 
 from thinlab.cli import main
-from thinlab.dsl import caret_diagram
-from thinlab.engine import MAX_DUMP_DEPTH
+from thinlab.dsl import caret_diagram, parse_set
+from thinlab.engine import MAX_DUMP_DEPTH, Engine
 
 LEVEL2 = "3*geo(2,1,0,0) | (3*geo(2,1,0,0)+1)"
 
@@ -79,6 +79,15 @@ def test_classify_tails_against_a_period_past_the_limit(capsys):
         "parse error: geometric terms cannot be reduced against a periodic "
         "part with period 1000003 (limit 1000000)\n" + caret_diagram(text, 13) + "\n"
     )
+
+
+@pytest.mark.parametrize("text", ["ap(1,0) | ap(1000003,0)", "ap(2,0) | ap(2,1) | ap(999983,0)"])
+def test_classify_a_union_covering_z_past_the_lcm_cap(capsys, text):
+    """The lcm of the moduli passes PERIOD_ENUM_LIMIT, but one modulus
+    holds every residue, so the set is Z and a bottom."""
+    code, out, err = run(capsys, "classify", text, "--no-timing")
+    assert (code, err) == (3, "")
+    assert "set: ap(1,0)\n" in out and "witness_replay: ok\n" in out
 
 
 def test_classify_bottom_exit_and_witness(capsys):
@@ -437,6 +446,18 @@ def test_tree_prints_at_the_depth_bound_and_refuses_past_it(capsys, fmt):
     assert (code, out, err) == (2, "", f"error: dump depth must be <= {MAX_DUMP_DEPTH}\n")
 
 
+def test_tree_json_is_one_line_linear_in_the_depth(capsys):
+    """The JSON dump is the tree's to_dict on one line.  With an indent a
+    line at depth k carried about 6k spaces, and the depth-200 dump of
+    ap(2,0) was 18.8 MB; on one line it is about 100 KB."""
+    code, out, err = run(capsys, "tree", "ap(2,0)", "--format", "json",
+                         "--depth", str(MAX_DUMP_DEPTH))
+    assert (code, err) == (0, "")
+    assert len(out.encode()) <= 200_000 and out.count("\n") == 1
+    expect = Engine().tree_dump(parse_set("ap(2,0)"), depth=MAX_DUMP_DEPTH).to_dict()
+    assert json.loads(out) == expect
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -477,6 +498,20 @@ def test_oracle_group_without_an_order(capsys, tmp_path, name):
     code, out, err = run(capsys, "oracle", "--group", name, "--out", str(tmp_path))
     assert (code, out) == (2, "")
     assert err == f"error: unknown group '{name}': expected zN or bD\n"
+
+
+@pytest.mark.parametrize("name, message", [
+    ("z" + "9" * 5000, "subset lattice 2^<16610-bit int> exceeds 2^24"),
+    ("b" + "9" * 5000, "boolean power needs exponent <= 24, got <16610-bit int>"),
+    ("q" + "9" * 5000, "unknown group 'q99999999999...9999999999999': expected zN or bD"),
+], ids=["z_5001_chars", "b_5001_chars", "q_5001_chars"])
+def test_oracle_group_errors_are_short(capsys, tmp_path, name, message):
+    """A group number past the interpreter's int-to-str digit limit is
+    read and named by its bit length, and an unknown name is cut short:
+    one line of error, under 200 characters."""
+    code, out, err = run(capsys, "oracle", "--group", name, "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err) < 200
 
 
 def test_oracle_reads_the_budget_before_building_the_table(capsys, monkeypatch, tmp_path):

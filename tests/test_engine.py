@@ -404,16 +404,14 @@ def test_tree_rank_memoized_per_mask_on_finite_groups():
 
 
 def test_tree_dump_finite_root():
-    dump = Engine().tree_dump(finite_set([3]), depth=2)
-    root = dump.root
+    root = Engine().tree_dump(finite_set([3]), depth=2)
     assert root.in_family and root.rank == 0
     assert not root.children and not root.classes
     assert not root.truncated
 
 
 def test_tree_dump_geo():
-    dump = Engine().tree_dump(A, depth=2)
-    root = dump.root
+    root = Engine().tree_dump(A, depth=2)
     assert not root.in_family
     assert root.rank == 1
     assert not root.truncated
@@ -421,8 +419,7 @@ def test_tree_dump_geo():
 
 
 def test_tree_dump_progression_chain():
-    dump = Engine().tree_dump(ap(2, 0), depth=3)
-    node = dump.root
+    node = Engine().tree_dump(ap(2, 0), depth=3)
     for d in range(3):
         assert node.label == "ap(2,0)"
         assert node.rank is None  # subtree never completes
@@ -440,7 +437,7 @@ def test_tree_dump_progression_chain():
 def test_tree_dump_depth_zero_and_validation():
     eng = Engine()
     dump = eng.tree_dump(A, depth=0)
-    assert dump.root.truncated and dump.root.rank is None
+    assert dump.truncated and dump.rank is None
     with pytest.raises(ValueError):
         eng.tree_dump(A, depth=-1)
 
@@ -449,7 +446,7 @@ def test_tree_dump_depth_is_bounded():
     """A dump of MAX_DUMP_DEPTH reaches that depth; one level more is
     refused before any node is built, not left to overflow the stack."""
     assert MAX_DUMP_DEPTH == 200
-    node = Engine().tree_dump(ap(2, 0), depth=MAX_DUMP_DEPTH).root
+    node = Engine().tree_dump(ap(2, 0), depth=MAX_DUMP_DEPTH)
     for depth in range(MAX_DUMP_DEPTH):
         assert node.path == (2,) * depth and not node.truncated
         ((_, node),) = node.children
@@ -471,14 +468,14 @@ def test_tree_dump_nodes_are_replayable_derived_sets():
             assert child.path == node.path + (shift,)
             walk(child)
 
-    walk(dump.root)
+    walk(dump)
 
 
 def test_tree_dump_rank_agrees_with_tree_rank():
     eng = Engine()
     for x in (finite_set([2]), A, TWO_TAILS):
         dump = eng.tree_dump(x, depth=6)
-        assert dump.root.rank == eng.tree_rank(x)
+        assert dump.rank == eng.tree_rank(x)
 
 
 def test_tree_dump_json_and_dict():
@@ -648,12 +645,12 @@ def test_finite_group_tree_dump_labels_and_ranks(group, top):
                 assert child.path == node.path + (shift,)
                 walk(child)
 
-        walk(dump.root)
+        walk(dump)
         rank = eng.tree_rank(x)
-        assert dump.root.rank == (None if rank is NOT_WELL_FOUNDED else rank)
-        ranks.add(dump.root.rank)
+        assert dump.rank == (None if rank is NOT_WELL_FOUNDED else rank)
+        ranks.add(dump.rank)
     assert ranks == {None, *range(top + 1)}
-    root = eng.tree_dump(full, depth=2).root
+    root = eng.tree_dump(full, depth=2)
     assert root.label == universe.describe(full) and len(root.children) == group.order - 1
 
 

@@ -59,6 +59,26 @@ def test_descriptor_validation():
         GroupDescriptor.boolean_power(1 << 20000)
 
 
+@pytest.mark.parametrize("moduli, text", [
+    ("weird", "'weird'"),
+    ((-(1 << 20000),), "(-<20001-bit int>,)"),
+    ((-(10**4000),), "(-10000000000000000...0000000000000000000,)"),
+    (("x" * 10**6,), "('xxxxxxxxxxxx...xxxxxxxxxxxxx',)"),
+    (tuple(range(10**5)), "(0, 1, 2, 3, 4, 5, ...)"),
+], ids=["string", "huge_int", "long_int", "long_string", "long_tuple"])
+def test_unknown_kind_names_the_moduli_in_a_short_message(moduli, text):
+    """An int str() refuses is named by its bit length, and every other
+    value is cut short, so the message stays under 200 characters."""
+    with pytest.raises(ValueError) as info:
+        GroupDescriptor(moduli)
+    assert str(info.value) == f"unknown group kind {text}"
+
+
+def test_describe_names_a_huge_modulus_by_bit_length():
+    assert GroupDescriptor((1 << 20000,)).describe() == "Z/<20001-bit int>"
+    assert GroupDescriptor((3, 1 << 20000)).describe() == "Z/3 x Z/<20001-bit int>"
+
+
 def test_op_examples():
     assert Z5.op(3, 4) == 2
     # (Z/2)^3: 101 xor 011 = 110

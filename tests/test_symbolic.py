@@ -21,7 +21,6 @@ from thinlab.bounds import escalate
 from thinlab.symbolic import (
     _crt,
     _geo_geo,
-    _geo_in_ap,
     _minimal_shift_period,
     _normalize,
     _orbit_split,
@@ -544,12 +543,11 @@ def _reference_intersect(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     for periodic, parts in ((a, b.tails), (b, a.tails)):
         p = periodic.period
         if p is not None:
-            for part in parts:
-                found, vals = _geo_in_ap(
-                    part, p, frozenset(periodic.residues), _powmod_orbit(b0, p), b0
-                )
-                tails += found
-                fin.update(vals)
+            for cp, d, s, j in parts:
+                head, firsts, step = _orbit_split(s, j, *_powmod_orbit(b0, p))
+                hits = [m for m in [*head, *firsts] if (cp * b0**m + d) % p in periodic.residues]
+                fin.update(cp * b0**m + d for m in hits if m in head)
+                tails += [(cp, d, m, step) for m in hits if m in firsts]
     for part1 in a.tails:
         for part2 in b.tails:
             found, vals = _geo_geo(part1, part2, b0)
@@ -788,6 +786,19 @@ def test_orbit_split_matches_stepping_loop():
 # ---------------------------------------------------------------------------
 # Printing, misc
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sets", [
+    (ap(1, 0), ap(1000003, 0)),
+    (ap(2, 0), ap(2, 1), ap(999983, 0)),
+], ids=["ap1_and_wide", "two_halves_and_wide"])
+def test_union_covering_z_is_not_refused_by_the_lcm_cap(sets):
+    """Past the lcm cap, residues are merged per modulus: a modulus with
+    every residue makes the periodic part Z, so a wide modulus beside it
+    lifts nothing.  Without a complete modulus the cap refuses the lcm."""
+    assert sets[0].union(*sets[1:]) == ap(1, 0)
+    with pytest.raises(ValueError, match="exceed the canonicalization limit"):
+        ap(2, 0).union(ap(999983, 0))
 
 
 def test_repr_shape():
