@@ -237,7 +237,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 def _parse_group(name: str) -> GroupDescriptor:
     kind, digits = name[:1].lower(), name[1:]
-    if kind not in ("z", "b") or not digits.isdigit():
+    if kind not in ("z", "b") or not digits.isdecimal():
         raise ValueError(f"unknown group {short_repr(name)}: expected zN or bD")
     # int() refuses a literal past the interpreter's digit limit, so the
     # digits are read a thousand at a time

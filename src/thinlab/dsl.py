@@ -6,7 +6,7 @@ Grammar (precedence low to high):
     union  := inter ('|' inter)*
     inter  := sum ('&' sum)*
     sum    := prod ('+' prod)*
-    prod   := unary ('*' unary)*
+    prod   := unary ('*' unary)*     (one loop reads inter, sum and prod)
     unary  := '-'* primary
     primary:= INT | '{' [INT (',' INT)*] '}'
             | 'geo' '(' INT ',' INT ',' INT ',' INT ')'
@@ -66,9 +66,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
-# Each '(' costs the parser six stack frames: 100 levels stay well inside
-# the interpreter's default recursion limit of 1000.
+# Each '(' costs the parser four stack frames (union, chain, unary and
+# primary), so 100 levels stay well inside the default recursion limit.
 MAX_PAREN_DEPTH = 100
+
+# Per operator: how tightly it binds ('|' is read by _Parser.union), its
+# rule on two integers or None, the SymbolicSet method for a set and the
+# other operand (by name, so a wrapper put on the class is seen), and its
+# refusal of an operand of the wrong kind.
+_RULES = {
+    "|": (0, None, "union", "needs set operands"),
+    "&": (1, None, "intersect", "needs set operands"),
+    "+": (2, operator.add, "translate", "cannot combine two sets"),
+    "*": (3, operator.mul, "scale", "cannot combine two sets"),
+}
 
 
 class _Parser:
@@ -103,11 +114,11 @@ class _Parser:
         folded left to right as it is read, so the set, or the error and
         caret of the first '|' that fails, is the fold's; a later operand's
         error comes only after the fold up to it has passed."""
-        operands, ops = [self.inter()], []
+        operands, ops = [self.chain()], []
         while self.peek() == "|":
             ops.append(self.take())
             try:
-                operands.append(self.inter())
+                operands.append(self.chain())
             except ParseError:
                 self._fold(operands, ops)
                 raise
@@ -121,52 +132,35 @@ class _Parser:
     def _fold(self, operands: list, ops: list[tuple[str, int]]):
         left = operands[0]
         for op, right in zip(ops, operands[1:]):
-            left = self._set_op(left, right, op, "union")
+            left = self._apply(left, right, op)
         return left
 
-    def inter(self):
-        left = self.sum()
-        while self.peek() == "&":
-            op = self.take()
-            right = self.sum()
-            left = self._set_op(left, right, op, "intersect")
-        return left
+    def chain(self):
+        """Operands joined by '&', '+' and '*': at each operator and at the
+        end, pending operators binding at least as tightly are applied."""
+        values, ops = [self.unary()], []
+        while True:
+            binding = _RULES.get(self.peek(), (0,))[0]
+            while ops and _RULES[ops[-1][0]][0] >= binding:
+                right = values.pop()
+                values.append(self._apply(values.pop(), right, ops.pop()))
+            if not binding:
+                return values[0]
+            ops.append(self.take())
+            values.append(self.unary())
 
-    def _set_op(self, left, right, op: tuple[str, int], name: str):
+    def _apply(self, left, right, op: tuple[str, int]):
+        """left op right by _RULES; a set method's ValueError is reported at op."""
         sym, pos = op
-        if not isinstance(left, SymbolicSet) or not isinstance(right, SymbolicSet):
-            raise ParseError(f"'{sym}' needs set operands", pos)
-        try:
-            return getattr(left, name)(right)
-        except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
-
-    def sum(self):
-        left = self.prod()
-        while self.peek() == "+":
-            op = self.take()
-            left = self._mixed(left, self.prod(), op, operator.add, SymbolicSet.translate)
-        return left
-
-    def prod(self):
-        left = self.unary()
-        while self.peek() == "*":
-            op = self.take()
-            left = self._mixed(left, self.unary(), op, operator.mul, SymbolicSet.scale)
-        return left
-
-    def _mixed(self, left, right, op: tuple[str, int], on_ints, on_set):
-        """Two integers, or a set and an integer in either order; a
-        ValueError of on_set is reported at the operator."""
-        sym, pos = op
-        if isinstance(left, int) and isinstance(right, int):
-            return on_ints(left, right)
+        _, on_ints, on_set, refusal = _RULES[sym]
         if isinstance(left, int):
+            if on_ints is not None and isinstance(right, int):
+                return on_ints(left, right)
             left, right = right, left
-        if not isinstance(right, int):
-            raise ParseError(f"'{sym}' cannot combine two sets", pos)
+        if isinstance(right, int) != (on_ints is not None):
+            raise ParseError(f"'{sym}' {refusal}", pos)
         try:
-            return on_set(left, right)
+            return getattr(left, on_set)(right)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from None
 

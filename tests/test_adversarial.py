@@ -5,7 +5,8 @@ what it takes today, with a definite verdict (exit 0 or 3, and a replayed
 witness for exit 3) or a clean refusal (exit 2 with the position of the
 error).  The rows cover a long finite part with a period branch, huge
 offsets, start indices and moduli, moduli whose lcm is just under or
-past PERIOD_ENUM_LIMIT, deep nesting and long runs of signs.
+past PERIOD_ENUM_LIMIT, deep nesting, long runs of signs, and long
+chains of one operator.
 """
 
 import contextlib
@@ -18,6 +19,12 @@ import pytest
 from thinlab.cli import main
 
 D = 10**4000  # a 4001-digit offset
+
+# 100 nested parentheses, each holding '&', '+' and '*': "(ap(1,0) & " is
+# 11 characters, so the innermost '(' is at position 1089.
+NESTED_OPERATORS = "{1}"
+for _ in range(100):
+    NESTED_OPERATORS = f"(ap(1,0) & {NESTED_OPERATORS} + 1 * 1)"
 
 # (id, expression, exit code, fields the JSON report must hold, CPU seconds)
 CORPUS = [
@@ -47,6 +54,16 @@ CORPUS = [
      2, {"error": "parentheses nested deeper than 100", "position": 100}, 2.0),
     ("minus_signs_3000", "{1}+" + "-" * 3000 + "1",
      0, {"verdict": "exact_level", "level": 0, "set": "{2}"}, 2.0),
+    ("and_chain_20000", " & ".join(["ap(2,0)", "ap(4,0)"] * 10000),
+     3, {"verdict": "not_in_thin_completion", "set": "ap(4,0)"}, 5.0),
+    ("plus_chain_20000", "geo(2,1,0,0)" + " + 1" * 19999,
+     0, {"verdict": "exact_level", "level": 1, "set": "geo(2,1,19999,0)"}, 5.0),
+    ("times_chain_of_minus_ones", "geo(2,1,0,0)" + " * -1" * 20001,
+     0, {"verdict": "exact_level", "level": 1, "set": "geo(2,-1,0,0)"}, 5.0),
+    ("parentheses_100_with_operators", NESTED_OPERATORS,
+     0, {"verdict": "exact_level", "level": 0, "set": "{101}"}, 2.0),
+    ("parentheses_101_with_operators", f"({NESTED_OPERATORS} & ap(1,0))",
+     2, {"error": "parentheses nested deeper than 100", "position": 1090}, 2.0),
 ]
 
 

@@ -500,6 +500,14 @@ def test_oracle_group_without_an_order(capsys, tmp_path, name):
     assert err == f"error: unknown group '{name}': expected zN or bD\n"
 
 
+@pytest.mark.parametrize("name", ["z²", "b²", "z1²"])
+def test_oracle_group_with_superscript_digits_is_unknown(capsys, tmp_path, name):
+    """'²' passes str.isdigit but is no decimal digit that int() reads."""
+    code, out, err = run(capsys, "oracle", "--group", name, "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown group '{name}': expected zN or bD\n"
+
+
 @pytest.mark.parametrize("name, message", [
     ("z" + "9" * 5000, "subset lattice 2^<16610-bit int> exceeds 2^24"),
     ("b" + "9" * 5000, "boolean power needs exponent <= 24, got <16610-bit int>"),

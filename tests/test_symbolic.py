@@ -21,6 +21,7 @@ from thinlab.bounds import escalate
 from thinlab.symbolic import (
     _crt,
     _geo_geo,
+    _in_tail,
     _minimal_shift_period,
     _normalize,
     _orbit_split,
@@ -122,6 +123,21 @@ def test_member_respects_start_index():
     assert not a.member(1)
     assert not a.member(2)
     assert a.member(4)
+
+
+def test_member_and_the_bulk_test_agree_with_the_residues(rng):
+    """member and the bulk test _in_terms both give the definition: x mod p
+    among the residues, or x in a tail."""
+    for _ in range(10):
+        a = make_set(
+            aps=[APTerm(m, rng.randrange(m)) for m in rng.sample([5, 7, 11, 13, 17], 3)],
+            geos=[GeoTerm(2, rng.randint(1, 5), rng.randint(-9, 9), 0)],
+        )
+        xs = range(-200, 200)
+        want = {x for x in xs if x % a.period in set(a.residues)
+                or any(_in_tail(x, t, a.base) for t in a.tails)}
+        assert {x for x in xs if a.member(x)} - set(a.finite) == want - set(a.finite)
+        assert a._in_terms(xs) == want
 
 
 def test_window_examples():
