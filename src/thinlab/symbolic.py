@@ -42,7 +42,8 @@ from .groups import int_text
 DEFAULT_BASE = 2
 
 # residue enumeration over mixed progression moduli stops here; beyond it
-# the canonical form itself would be astronomically wide
+# the canonical form itself would be astronomically wide.  Tails are not
+# cut at a longer period either: that takes the O(p) orbit of b0 mod p
 PERIOD_ENUM_LIMIT = 1_000_000
 
 
@@ -80,15 +81,12 @@ def _divisors(n: int) -> list[int]:
 
 
 def _minimal_shift_period(m: int, residues: frozenset[int]) -> int:
-    """Least q dividing m with residues + q == residues in Z/m."""
-    if len(residues) == m:
-        return 1
-    if len(residues) == 1:
-        return m
-    for q in _divisors(m):
-        if all((r + q) % m in residues for r in residues):
-            return q
-    return m
+    """Least q dividing m with residues + q == residues in Z/m.  The
+    periods form a subgroup qZ/m and the residues are a union of its
+    cosets, each of size m/q, so m/q divides gcd(m, |residues|): only
+    those q are tried, the smallest first."""
+    qs = (m // k for k in reversed(_divisors(math.gcd(m, len(residues)))))
+    return next(q for q in qs if all((r + q) % m in residues for r in residues))
 
 
 def _powmod_orbit(b: int, m: int) -> tuple[int, int]:
@@ -187,9 +185,12 @@ def _split_at_period(tails: Sequence[Tail], p: int, b0: int) -> list[tuple[Tail,
     is one periodic class of a tail's exponents; a piece (cp, d, m, 0), the
     tail {cp * b0**m + d} of step 0, is an exponent below the preperiod or
     a single exponent as given.  The orbit of b0 mod p, O(p) to find, is
-    only sought when there are tails."""
+    only sought when there are tails, and refused past PERIOD_ENUM_LIMIT."""
     if not tails:
         return []
+    if p > PERIOD_ENUM_LIMIT:
+        raise ValueError(f"geometric terms cannot be reduced against a periodic "
+                         f"part with period {int_text(p)} (limit {PERIOD_ENUM_LIMIT})")
     u, v = _powmod_orbit(b0, p)
     pieces: list[Tail] = []
     for cp, d, s, j in tails:
@@ -278,9 +279,6 @@ def _normalize(
         )
         p = _minimal_shift_period(big, present)
         residues = sorted({r % p for r in present})
-        if parts and p > PERIOD_ENUM_LIMIT:
-            raise ValueError(f"geometric terms cannot be reduced against a periodic "
-                             f"part with period {int_text(p)} (limit {PERIOD_ENUM_LIMIT})")
     resset = frozenset(residues)
 
     # Geometric families keyed by (reduced coeff, offset).  Each family's

@@ -5,8 +5,9 @@ what it takes today, with a definite verdict (exit 0 or 3, and a replayed
 witness for exit 3) or a clean refusal (exit 2 with the position of the
 error).  The rows cover a long finite part with a period branch, huge
 offsets, start indices and moduli, moduli whose lcm is just under or
-past PERIOD_ENUM_LIMIT, deep nesting, long runs of signs, and long
-chains of one operator.
+past PERIOD_ENUM_LIMIT, a periodic part scaled by 10^40, a meet of tails
+with a period past PERIOD_ENUM_LIMIT, deep nesting, long runs of signs,
+and long chains of one operator.
 """
 
 import contextlib
@@ -64,6 +65,12 @@ CORPUS = [
      0, {"verdict": "exact_level", "level": 0, "set": "{101}"}, 2.0),
     ("parentheses_101_with_operators", f"({NESTED_OPERATORS} & ap(1,0))",
      2, {"error": "parentheses nested deeper than 100", "position": 1090}, 2.0),
+    ("period_6_times_10_40", f"(ap(6,1) | ap(6,2)) * {10**40}",
+     3, {"verdict": "not_in_thin_completion",
+         "set": f"ap({6 * 10**40},{10**40}) | ap({6 * 10**40},{2 * 10**40})"}, 1.0),
+    ("meet_past_the_limit", "ap(100000007,1) & geo(2,1,0,0)",
+     2, {"error": "geometric terms cannot be reduced against a periodic part with "
+                  "period 100000007 (limit 1000000)", "position": 16}, 1.0),
 ]
 
 

@@ -593,7 +593,7 @@ seed: 7
 trials: 40
 budget: depth=32 nodes=100000
 
-[1/9] finite-oracle-agreement .............. PASS (1335 checks)
+[1/9] finite-oracle-agreement .............. PASS (1320 checks)
 [2/9] hierarchy-escalation ................. PASS (10 checks)
 [3/9] bottom-certificates .................. PASS (6 checks)
 [4/9] subset-sum-image-bounds .............. PASS (7923 checks)
@@ -603,7 +603,7 @@ budget: depth=32 nodes=100000
 [8/9] symbolic-window-soundness ............ PASS (80 checks)
 [9/9] engine-limits ........................ PASS (8 checks)
 
-result: PASS (9 suites, 994409 checks, 0 failures, 0 unknown)
+result: PASS (9 suites, 994394 checks, 0 failures, 0 unknown)
 """
 
 SELFTEST_STARVED = """\
@@ -612,7 +612,7 @@ seed: 0
 trials: 5
 budget: depth=32 nodes=1
 
-[1/9] finite-oracle-agreement .............. UNKNOWN (1335 checks, 742 unknown)
+[1/9] finite-oracle-agreement .............. UNKNOWN (1320 checks, 742 unknown)
 [2/9] hierarchy-escalation ................. UNKNOWN (3 checks, 1 unknown)
 [3/9] bottom-certificates .................. PASS (6 checks)
 [4/9] subset-sum-image-bounds .............. PASS (7888 checks)
@@ -622,7 +622,7 @@ budget: depth=32 nodes=1
 [8/9] symbolic-window-soundness ............ PASS (10 checks)
 [9/9] engine-limits ........................ PASS (8 checks)
 
-result: PASS (9 suites, 994157 checks, 0 failures, 745 unknown)
+result: PASS (9 suites, 994142 checks, 0 failures, 745 unknown)
 """
 
 
@@ -659,7 +659,7 @@ def test_selftest_reports_broken_checks(capsys, monkeypatch):
     lines = out.splitlines()
     assert code == 1
     assert [line for line in lines if line.startswith("[")] == [
-        "[1/9] finite-oracle-agreement .............. FAIL (75 checks)",
+        "[1/9] finite-oracle-agreement .............. FAIL (60 checks)",
         "[2/9] hierarchy-escalation ................. PASS (10 checks)",
         "[3/9] bottom-certificates .................. FAIL (6 checks)",
         "[4/9] subset-sum-image-bounds .............. FAIL (7888 checks)",
@@ -679,7 +679,7 @@ def test_selftest_reports_broken_checks(capsys, monkeypatch):
         *(f"      ! n=2: image too small for (-3, {e})" for e in (-3, -2, -1, 1, 2)),
     ]
     assert lines[-1] == (
-        "result: FAIL (9 suites, 992904 checks, 7901 failures, 0 unknown)"
+        "result: FAIL (9 suites, 992889 checks, 7901 failures, 0 unknown)"
     )
 
 

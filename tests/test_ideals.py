@@ -1,9 +1,12 @@
-import random
+import types
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from thinlab import ideals
 from thinlab.groups import GroupDescriptor, mask_of, mask_translate
-from thinlab.ideals import FiniteSets, SizeAtMost, check_axioms
+from thinlab.ideals import FiniteSets, SizeAtMost
 from thinlab.symbolic import ap, empty_set, finite_set, geo, random_set
 
 Z5 = GroupDescriptor.cyclic(5)
@@ -54,88 +57,65 @@ def test_empty_always_member():
         assert SizeAtMost(Z5, t).contains(0)
 
 
-def test_left_invariance_exhaustive_z5():
-    fam = SizeAtMost(Z5, 2)
-    from thinlab.groups import mask_translate
-
-    for mask in range(1 << 5):
-        for g in range(5):
-            assert fam.contains(mask) == fam.contains(mask_translate(Z5, mask, g))
-
-
-def test_axioms_finite_sets():
-    report = check_axioms(FiniteSets(), samples=200, rng=random.Random(1))
-    assert report.left_invariant
-    assert report.lower
-    assert report.additive
-    assert report.is_base_family
-    assert report.witnesses == {}
-
-
-def test_axioms_size_one_not_additive():
-    report = check_axioms(SizeAtMost(Z5, 1), samples=200, rng=random.Random(2))
-    assert report.left_invariant
-    assert report.lower
-    assert report.is_base_family
-    assert not report.additive
-    a, b = report.witnesses["additive"]
-    # a pair of disjoint members whose union leaves the family
-    fam = SizeAtMost(Z5, 1)
-    assert fam.contains(a) and fam.contains(b)
-    assert a & b == 0
-    assert not fam.contains(a | b)
+@pytest.mark.parametrize(
+    "group",
+    [Z5, GroupDescriptor.boolean_power(3), GroupDescriptor((2, 4))],
+    ids=["z5", "b3", "z2xz4"],
+)
+def test_size_at_most_axioms_exhaustive(group):
+    """At every bound t, on every mask: membership is unchanged by every
+    shift and holds on every submask of a member, and some two members
+    have a union outside the family exactly when 1 <= t < |G|."""
+    n = group.order
+    masks = range(1 << n)
+    translates = [[mask_translate(group, a, g) for g in range(n)] for a in masks]
+    for t in range(n + 1):
+        fam = SizeAtMost(group, t)
+        for a in masks:
+            assert all(fam.contains(b) == fam.contains(a) for b in translates[a])
+        members = [a for a in masks if fam.contains(a)]
+        for a in members:
+            sub = a
+            while sub:  # each proper submask of a, down to 0
+                sub = (sub - 1) & a
+                assert fam.contains(sub)
+        escapes = any(not fam.contains(a | b) for a in members for b in members)
+        assert escapes == (1 <= t < n)
 
 
-def test_axioms_size_zero_additive():
-    report = check_axioms(SizeAtMost(Z5, 0), samples=200, rng=random.Random(3))
-    assert report.left_invariant
-    assert report.lower
-    assert report.additive
+def test_axioms_finite_sets(rng):
+    """Over seeded pairs a, b, with a finite about half the time:
+    membership is unchanged by translation, holds on a & b when it holds
+    on a, and on a | b when it holds on both."""
+    fam = FiniteSets()
+    seen = Counter()
+    for _ in range(300):
+        k = rng.choice([0, 2])
+        a = random_set(rng, max_geo=k, max_ap=k)
+        b = random_set(rng)
+        g = rng.randrange(-50, 51)
+        assert fam.contains(a.translate(g)) == fam.contains(a)
+        if fam.contains(a):
+            seen["lower"] += 1
+            assert fam.contains(a & b)
+            if fam.contains(b):
+                seen["additive"] += 1
+                assert fam.contains(a | b)
+    assert seen["lower"] > 100 and seen["additive"] > 10
 
 
-def test_axioms_full_bound_additive():
-    group = GroupDescriptor.boolean_power(2)
-    report = check_axioms(
-        SizeAtMost(group, group.order), samples=100, rng=random.Random(4)
-    )
-    assert report.additive
+def _names(code) -> set[str]:
+    out = set(code.co_names) | set(code.co_varnames) | set(code.co_freevars)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            out |= _names(const)
+    return out
 
 
-class _SubsetsOfZeroOne(SizeAtMost):
-    """Lower but not left-invariant: the subsets of {0, 1} of Z/5."""
-
-    def contains(self, a: int) -> bool:
-        return a & ~0b11 == 0
-
-    def _random_member(self, rng: random.Random) -> int:
-        return rng.randrange(4)
-
-
-class _NotOneElement(SizeAtMost):
-    """Left-invariant but not lower: the subsets of Z/5 without exactly one
-    element."""
-
-    def contains(self, a: int) -> bool:
-        return a.bit_count() != 1
-
-    def _random_member(self, rng: random.Random) -> int:
-        return mask_of(Z5, rng.sample(range(5), rng.choice([0, 2, 3, 4, 5])))
-
-
-def test_axioms_report_a_family_that_is_not_left_invariant():
-    fam = _SubsetsOfZeroOne(Z5, 2)
-    report = check_axioms(fam, samples=200, rng=random.Random(5))
-    assert not report.left_invariant and report.lower
-    assert not report.is_base_family
-    x, g = report.witnesses["left_invariant"]
-    assert fam.contains(x) != fam.contains(mask_translate(Z5, x, g))
-
-
-def test_axioms_report_a_family_that_is_not_lower():
-    fam = _NotOneElement(Z5, 5)
-    report = check_axioms(fam, samples=200, rng=random.Random(6))
-    assert report.left_invariant and not report.lower
-    assert not report.is_base_family
-    a, b = report.witnesses["lower"]
-    assert fam.contains(a) and not fam.contains(b)
-    assert b & ~a == 0
+def test_families_use_no_sampling():
+    """The families are exact predicates: no code in thinlab.ideals, nested
+    code included, names `random` or `random_set`."""
+    code = compile(Path(ideals.__file__).read_text(), ideals.__file__, "exec")
+    names = _names(code)
+    assert {"FiniteSets", "SizeAtMost", "bit_count"} <= names
+    assert names.isdisjoint({"random", "random_set"})

@@ -772,7 +772,7 @@ def test_wide_spectrum_reads_classes_off_residue_sets(finite, zero_uniform):
 
 
 def test_minimal_shift_period_exhaustive():
-    for m in range(1, 13):
+    for m in range(1, 15):
         for mask in range(1 << m):
             residues = frozenset(r for r in range(m) if mask >> r & 1)
             slow = next(
@@ -780,6 +780,34 @@ def test_minimal_shift_period_exhaustive():
                 if {(r + q) % m for r in residues} == residues
             )
             assert _minimal_shift_period(m, residues) == slow
+
+
+def _period_by_trial_division(m: int, residues: frozenset[int]) -> int:
+    """Least divisor q of m with residues + q == residues, trying every
+    divisor found by trial division up to sqrt(m)."""
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    divisors = sorted(set(small + [m // d for d in small]))
+    return next(q for q in divisors if all((r + q) % m in residues for r in residues))
+
+
+def test_minimal_shift_period_matches_trial_division_up_to_10_6():
+    """Seeded subsets of Z/m for m up to 10^6, half of them built as a union
+    of cosets of a random subgroup qZ/m, so that their period is q or a
+    divisor of it."""
+    rng = random.Random(31)
+    periodic = 0
+    for _ in range(300):
+        m = rng.randrange(1, 10**6 + 1)
+        if rng.random() < 0.5:
+            q = rng.choice([m // k for k in range(1, min(m, 2000) + 1) if m % k == 0])
+            picked = rng.sample(range(q), rng.randrange(1, min(q, 20) + 1))
+            residues = frozenset(r + q * i for r in picked for i in range(m // q))
+        else:
+            residues = frozenset(rng.sample(range(m), rng.randrange(1, min(m, 50) + 1)))
+        expected = _period_by_trial_division(m, residues)
+        periodic += expected < m
+        assert _minimal_shift_period(m, residues) == expected
+    assert periodic > 100
 
 
 def test_orbit_split_matches_stepping_loop():
