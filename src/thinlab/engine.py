@@ -612,22 +612,22 @@ class Engine:
 
     def _period_witness(self, x: SymbolicSet) -> NotInThinCompletion:
         """The cycle witness of the period branch of a set x = P | R with
-        periodic part P of period p.  A canonical remainder R, the finite
-        part and the tails, misses P, and P + p = P, so the k-th set of the
+        periodic part P of period p and remainder R, the finite part and
+        the tails.  Every derive by a multiple of p meets R alone and keeps
+        P (SymbolicSet.derive states the lemma), so the k-th set of the
         branch is P | R_k with R_k the k-th set of R's chain; R_k holds no
         periodic subset, so the fixed point comes at the first empty R_k.
         A tail key (cp, d) of R_(k+1) needs (cp, d) and (cp, d - p) in R_k,
-        so each derive drops the least offset of every cp: R is derived at
+        so each derive drops the least offset of every cp: x is derived at
         most once per distinct tail key, and its finite rest then empties
         after its longest run y, y - p, ..., counted in one ascending pass."""
         p = x.period
-        rest = SymbolicSet(x.finite, x.tails, None, (), x.base)
         k = 0
-        while rest.tails:
-            rest = rest.derive(p)
+        while x.tails:
+            x = x.derive(p)
             k += 1
         runs: dict[int, int] = {}
-        for y in rest.finite:
+        for y in x.finite:
             runs[y] = runs.get(y - p, 0) + 1
         k += max(runs.values(), default=0)
         return NotInThinCompletion(CycleWitness((p,) * k, k, p, 0))

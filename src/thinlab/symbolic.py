@@ -67,25 +67,14 @@ def _solve_pow(y: int, c: int, b: int) -> int | None:
     return e if unit == 1 else None
 
 
-def _divisors(n: int) -> list[int]:
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _minimal_shift_period(m: int, residues: frozenset[int]) -> int:
     """Least q dividing m with residues + q == residues in Z/m.  The
     periods form a subgroup qZ/m and the residues are a union of its
-    cosets, each of size m/q, so m/q divides gcd(m, |residues|): only
-    those q are tried, the smallest first."""
-    qs = (m // k for k in reversed(_divisors(math.gcd(m, len(residues)))))
+    cosets, each of size m/q, so m/q divides k = gcd(m, |residues|): only
+    those q are tried, the smallest first, by trial division of k, which
+    costs no more than one pass over the residues."""
+    k = math.gcd(m, len(residues))
+    qs = (m // c for c in range(k, 0, -1) if k % c == 0)
     return next(q for q in qs if all((r + q) % m in residues for r in residues))
 
 
@@ -148,9 +137,6 @@ class GeoTerm:
         if self.n0 < 0:
             raise ValueError(f"start index must be >= 0, got {self.n0}")
 
-    def member(self, x: int) -> bool:
-        return _in_tail(x, _geo_parts(self, self.base), self.base)
-
 
 @dataclass(frozen=True, order=True)
 class APTerm:
@@ -164,9 +150,6 @@ class APTerm:
             raise ValueError(f"progression modulus must be >= 1, got {self.modulus}")
         if not 0 <= self.residue < self.modulus:
             raise ValueError(f"residue {self.residue} not reduced mod {self.modulus}")
-
-    def member(self, x: int) -> bool:
-        return (x - self.residue) % self.modulus == 0
 
 
 def _geo_parts(term: GeoTerm, b0: int) -> Tail:
@@ -213,6 +196,8 @@ def _decompose_family(
     classes mod Q, or at its least class member when none is missing, so
     the work does not grow with the gaps between start exponents.
     """
+    if len(pieces) == 1 and pieces[0][1]:
+        return [pieces[0]], []  # one progression: minimal period j, no lower extension
     ap_list = [(s, j) for s, j in pieces if j]
     singles = {m for m, j in pieces if not j}
     if not ap_list:
@@ -253,6 +238,9 @@ def _normalize(
     """The canonical set of raw parts: tails need not be canonical, and
     the periodic parts (modulus, residues) may mix moduli."""
     finite = set(finite)
+    periodic = [(m, rs) for m, rs in periodic if rs]
+    if not parts and not periodic:  # a finite set is canonical once sorted
+        return SymbolicSet(tuple(sorted(finite)), (), None, (), base)
 
     # Periodic part: the union of the input progressions is itself the
     # maximal periodic subset (geometric tails are too sparse to complete
@@ -260,7 +248,6 @@ def _normalize(
     # residue is lifted to the lcm of the moduli; mixed moduli can make
     # that wide, so they are capped, while one shared modulus lifts nothing.
     # Past the cap, a modulus with every residue still makes the part Z.
-    periodic = [(m, rs) for m, rs in periodic if rs]
     p = None
     residues: list[int] = []
     if periodic:
@@ -484,7 +471,15 @@ class SymbolicSet:
 
     def derive(self, g: int) -> "SymbolicSet":
         """A & (A + g): every derivation step on Z meets a set with its
-        translate here."""
+        translate here.  When the period p of the periodic part P divides g,
+        only the remainder R, the finite part and the tails, is derived:
+        P + g = P, and R and R + g both miss P, so A & (A + g) is
+        P | (R & (R + g)), whose part R & (R + g) misses P.  P then cuts none
+        of its tails, so its canonical form stands unchanged beside P."""
+        p = self.period
+        if p is not None and g % p == 0:
+            r = SymbolicSet(self.finite, self.tails, None, (), self.base).derive(g)
+            return SymbolicSet(r.finite, r.tails, p, self.residues, self.base)
         return self.intersect(self.translate(g))
 
     def shift_spectrum(self) -> "ShiftSpectrum":

@@ -14,7 +14,16 @@ import pytest
 
 from thinlab.dsl import parse_set
 from thinlab.engine import Budget, CycleWitness, Engine, NotInThinCompletion
+import thinlab.symbolic
 from thinlab.symbolic import SymbolicSet, _normalize, ap, finite_set, geo, random_set
+
+# periodic sets with many split tails, mixed moduli, a lone periodic part, Z
+PERIOD_ROWS = [
+    ap(11, 3) | geo(2, 1, 5, 0) | finite_set([0, 7]),
+    ap(6, 1) | ap(4, 3) | geo(2, 3, 1, 2),
+    ap(5, 2),
+    ap(1, 0),
+]
 
 
 def _full_chain_witness(x: SymbolicSet) -> CycleWitness:
@@ -143,6 +152,42 @@ def test_hundred_thousand_run_is_counted_not_walked(monkeypatch):
     assert time.process_time() - t0 < 1.0
     assert calls == 0
     assert verdict.witness == CycleWitness((7,) * n, n, 7, 0)
+
+
+def _multiples_of_the_period(x: SymbolicSet) -> list[int]:
+    return [sign * k * x.period for k in (1, 2, 7) for sign in (1, -1)]
+
+
+def test_derive_by_a_period_multiple_matches_the_whole_meet():
+    """derive(g) for g in pZ meets only the remainder; it equals the meet
+    of the whole set with its translate, and leaves a lone periodic part
+    unchanged."""
+    rng = random.Random(17)
+    draws = [x for x in (random_set(rng, max_geo=4, max_ap=3, max_finite=6)
+                         for _ in range(600)) if x.period is not None]
+    assert len(draws) > 200
+    for x in PERIOD_ROWS + draws:
+        for g in _multiples_of_the_period(x):
+            assert x.derive(g) == x.intersect(x.translate(g)), (x, g)
+    assert all(x.derive(g) == x for x in PERIOD_ROWS[2:] for g in _multiples_of_the_period(x))
+
+
+def test_replay_of_a_period_witness_never_cuts_a_tail(monkeypatch):
+    """Every derive along a period witness is by a multiple of p, so the
+    replay never splits tails at the period."""
+    calls = []
+    real = thinlab.symbolic._split_at_period
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    for x in PERIOD_ROWS:
+        witness = Engine().classify(x).witness
+        monkeypatch.setattr(thinlab.symbolic, "_split_at_period", counting)
+        assert Engine().replay_witness(x, witness)
+        monkeypatch.setattr(thinlab.symbolic, "_split_at_period", real)
+    assert calls == []
 
 
 def _step_by_step(x: SymbolicSet, path) -> SymbolicSet:

@@ -20,7 +20,9 @@ from thinlab.symbolic import (
 from thinlab.bounds import escalate
 from thinlab.symbolic import (
     _crt,
+    _decompose_family,
     _geo_geo,
+    _geo_parts,
     _in_tail,
     _minimal_shift_period,
     _normalize,
@@ -197,12 +199,13 @@ def test_canonical_form_invariants(rng):
         a = random_set(rng)
         # finite part disjoint from all terms
         for x in a.finite:
-            assert not any(t.member(x) for t in a.geos)
-            assert not any(t.member(x) for t in a.aps)
+            assert not any(_in_tail(x, _geo_parts(t, t.base), t.base) for t in a.geos)
+            assert not any((x - t.residue) % t.modulus == 0 for t in a.aps)
         # no geo term inside the periodic part
         for t in a.geos:
             assert not all(
-                any(p.member(t.coeff * t.base**n + t.offset) for p in a.aps)
+                any((t.coeff * t.base**n + t.offset - p.residue) % p.modulus == 0
+                    for p in a.aps)
                 for n in range(t.n0, t.n0 + 8)
             ) or not a.aps
         # sorted deterministic term order
@@ -808,6 +811,27 @@ def test_minimal_shift_period_matches_trial_division_up_to_10_6():
         periodic += expected < m
         assert _minimal_shift_period(m, residues) == expected
     assert periodic > 100
+
+
+def test_single_progression_family_matches_the_general_decomposition():
+    """One progression piece is returned as it is; the same piece given
+    twice runs the general code."""
+    for s in range(21):
+        for j in range(13):
+            assert _decompose_family([(s, j)]) == _decompose_family([(s, j), (s, j)])
+
+
+def test_finite_only_normalize_is_the_sorted_distinct_tuple():
+    """With no tails and no periodic part, _normalize returns the sorted,
+    distinct finite part; an empty residue list, as a union of finite sets
+    passes, counts as no periodic part."""
+    rng = random.Random(41)
+    for _ in range(200):
+        xs = [rng.randrange(-40, 41) for _ in range(rng.randrange(12))]
+        xs += rng.sample(xs, len(xs) // 2)
+        want = SymbolicSet(tuple(sorted(set(xs))), (), None, (), 3)
+        assert _normalize(3, xs, [], []) == want
+        assert _normalize(3, xs, [], [(None, ())]) == want
 
 
 def test_orbit_split_matches_stepping_loop():
