@@ -273,8 +273,8 @@ class SymbolicUniverse:
         elif x.finite:
             t = y.finite[0] - x.finite[0]
         elif x.residues:
-            # x.translate(t) == y needs t to take x's first residue to one of y's
-            p, r0 = x.period, x.residues[0]
+            # x.translate(t) == y needs t to take x's least residue to one of y's
+            p, r0 = x.period, min(x.residues)
             for t in sorted({(r - r0) % p for r in y.residues}):
                 if x.translate(t) == y:
                     return t

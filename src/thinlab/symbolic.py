@@ -11,8 +11,8 @@ coincides with equality of the denoted sets.
 Canonical form
 --------------
 * the (unique) maximal periodic subset is stored as the pair (period,
-  residues): its minimal period p, or None when there is none, and its
-  residues mod p, sorted;
+  residues): its minimal period p, or None when there is none, and the
+  frozenset of its residues mod p, put in order only where printed;
 * each geometric tail is stored as a tuple (cp, d, m0, q), the set
   {cp * b0**m + d : m >= m0, m = m0 mod q}, keyed by (reduced coefficient
   cp, offset d), where cp carries no factor of b0; per key the exponent
@@ -35,15 +35,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .groups import int_text
 
 DEFAULT_BASE = 2
+_NO_RESIDUES: frozenset[int] = frozenset()  # shared by every set with no periodic part
 
 # residue enumeration over mixed progression moduli stops here; beyond it
 # the canonical form itself would be astronomically wide.  Tails are not
-# cut at a longer period either: that takes the O(p) orbit of b0 mod p
+# cut at a longer period either: a tail has up to p pieces there
 PERIOD_ENUM_LIMIT = 1_000_000
 
 
@@ -79,16 +80,18 @@ def _minimal_shift_period(m: int, residues: frozenset[int]) -> int:
 
 
 def _powmod_orbit(b: int, m: int) -> tuple[int, int]:
-    """(preperiod, period) of the sequence b**e mod m."""
-    seen: dict[int, int] = {}
-    val = 1 % m
-    e = 0
-    while val not in seen:
-        seen[val] = e
-        val = (val * b) % m
-        e += 1
-    u = seen[val]
-    return u, e - u
+    """(preperiod, period) of the sequence b**e mod m = m1 * r, where m1
+    holds the primes of b and r is prime to b.  As b**v - 1 is prime to
+    m1, b**e repeats from the least e with m1 | b**e: the count of
+    divisions of m by its gcd with b, which leave r.  The period is the
+    order of b mod r."""
+    r, u = m, 0
+    while (g := math.gcd(r, b)) > 1:
+        r, u = r // g, u + 1
+    val, v = b % r, 1
+    while val != 1 % r:
+        val, v = val * b % r, v + 1
+    return u, v
 
 
 def _orbit_split(s: int, j: int, u: int, v: int) -> tuple[range, range, int]:
@@ -162,24 +165,24 @@ def _geo_parts(term: GeoTerm, b0: int) -> Tail:
     return cp, term.offset, t + j * term.n0, j
 
 
-def _split_at_period(tails: Sequence[Tail], p: int, b0: int) -> list[tuple[Tail, int]]:
-    """Cut tails where b0**m mod p turns periodic, and pair each piece with
+def _split_at_period(tails: Sequence[Tail], p: int, b0: int) -> Iterator[tuple[Tail, int]]:
+    """Cut tails where b0**m mod p turns periodic, and yield each piece with
     the residue mod p that all its values share.  A piece (cp, d, m, step)
     is one periodic class of a tail's exponents; a piece (cp, d, m, 0), the
     tail {cp * b0**m + d} of step 0, is an exponent below the preperiod or
-    a single exponent as given.  The orbit of b0 mod p, O(p) to find, is
-    only sought when there are tails, and refused past PERIOD_ENUM_LIMIT."""
+    a single exponent as given.  A tail has up to p pieces, yielded one at
+    a time; a period past PERIOD_ENUM_LIMIT is refused when there are tails."""
     if not tails:
-        return []
+        return
     if p > PERIOD_ENUM_LIMIT:
         raise ValueError(f"geometric terms cannot be reduced against a periodic "
                          f"part with period {int_text(p)} (limit {PERIOD_ENUM_LIMIT})")
     u, v = _powmod_orbit(b0, p)
-    pieces: list[Tail] = []
     for cp, d, s, j in tails:
         head, firsts, step = _orbit_split(s, j, u, v) if j else ((s,), (), 0)
-        pieces += [(cp, d, m, 0) for m in head] + [(cp, d, m, step) for m in firsts]
-    return [((cp, d, m, q), (cp * pow(b0, m, p) + d) % p) for cp, d, m, q in pieces]
+        for ms, q in ((head, 0), (firsts, step)):
+            for m in ms:
+                yield (cp, d, m, q), (cp * pow(b0, m, p) + d) % p
 
 
 def _decompose_family(
@@ -233,14 +236,14 @@ def _normalize(
     base: int,
     finite: Iterable[int],
     parts: Sequence[Tail],
-    periodic: Iterable[tuple[int, Sequence[int]]],
+    periodic: Iterable[tuple[int, Collection[int]]],
 ) -> SymbolicSet:
     """The canonical set of raw parts: tails need not be canonical, and
     the periodic parts (modulus, residues) may mix moduli."""
     finite = set(finite)
     periodic = [(m, rs) for m, rs in periodic if rs]
     if not parts and not periodic:  # a finite set is canonical once sorted
-        return SymbolicSet(tuple(sorted(finite)), (), None, (), base)
+        return SymbolicSet(tuple(sorted(finite)), base=base)
 
     # Periodic part: the union of the input progressions is itself the
     # maximal periodic subset (geometric tails are too sparse to complete
@@ -248,8 +251,7 @@ def _normalize(
     # residue is lifted to the lcm of the moduli; mixed moduli can make
     # that wide, so they are capped, while one shared modulus lifts nothing.
     # Past the cap, a modulus with every residue still makes the part Z.
-    p = None
-    residues: list[int] = []
+    p, residues = None, _NO_RESIDUES
     if periodic:
         mods = {m for m, _ in periodic}
         big = math.lcm(*mods)
@@ -265,8 +267,7 @@ def _normalize(
             x for m, rs in periodic for r in rs for x in range(r, big, m)
         )
         p = _minimal_shift_period(big, present)
-        residues = sorted({r % p for r in present})
-    resset = frozenset(residues)
+        residues = frozenset(r % p for r in present)
 
     # Geometric families keyed by (reduced coeff, offset).  Each family's
     # exponent set is made semantic: native exponents, plus coincidences
@@ -287,7 +288,7 @@ def _normalize(
             if m is not None:
                 pieces.append((cp, d, m, 0))
     if p is not None and parts:
-        pieces = [t for t, r in _split_at_period(pieces, p, base) if r not in resset]
+        pieces = [t for t, r in _split_at_period(pieces, p, base) if r not in residues]
     fams: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for cp, d, m, q in pieces:
         fams.setdefault((cp, d), []).append((m, q))
@@ -298,21 +299,22 @@ def _normalize(
         fam_tails, leftovers = _decompose_family(fam)
         tails.extend((cp, d, m0, q) for m0, q in fam_tails)
         pool.update(cp * base**m + d for m in leftovers)
-    terms = SymbolicSet((), tuple(sorted(tails)), p, tuple(residues), base)
+    terms = SymbolicSet((), tuple(sorted(tails)), p, residues, base)
     kept = pool - terms._in_terms(pool)
-    return SymbolicSet(tuple(sorted(kept)), terms.tails, p, terms.residues, base) if kept else terms
+    return SymbolicSet(tuple(sorted(kept)), terms.tails, p, residues, base) if kept else terms
 
 
 @dataclass(frozen=True)
 class SymbolicSet:
     """Canonical symbolic subset of Z.  Construct via the factory helpers
     (finite_set, geo, ap, empty_set) or the set operations; the raw
-    constructor trusts its arguments to be canonical already."""
+    constructor trusts its arguments to be canonical already, and takes
+    the residues as a frozenset, empty when period is None."""
 
     finite: tuple[int, ...] = ()
     tails: tuple[Tail, ...] = ()
     period: int | None = None
-    residues: tuple[int, ...] = ()
+    residues: frozenset[int] = _NO_RESIDUES
     base: int = DEFAULT_BASE
 
     # -- queries ---------------------------------------------------------
@@ -322,7 +324,7 @@ class SymbolicSet:
 
     def _in_terms(self, xs: Iterable[int]) -> set[int]:
         """The elements of xs that lie in the periodic part or a tail."""
-        p, rs, tails, b0 = self.period, frozenset(self.residues), self.tails, self.base
+        p, rs, tails, b0 = self.period, self.residues, self.tails, self.base
         return {x for x in xs if p is not None and x % p in rs
                 or tails and any(_in_tail(x, t, b0) for t in tails)}
 
@@ -338,7 +340,7 @@ class SymbolicSet:
     @property
     def aps(self) -> tuple[APTerm, ...]:
         """The periodic part as sorted terms ap(period, r): the printed view."""
-        return tuple([APTerm(self.period, r) for r in self.residues])
+        return tuple([APTerm(self.period, r) for r in sorted(self.residues)])
 
     @property
     def geos(self) -> tuple[GeoTerm, ...]:
@@ -350,10 +352,10 @@ class SymbolicSet:
         """The tails as sorted (b0**q, cp * b0**m0, d), the printed terms
         geo(b0**q, cp * b0**m0, d, 0).  With guard, str(10**limit) raises
         the interpreter's int-to-str ValueError before a coefficient surely
-        too long to print is built."""
+        too long to print is built: a coefficient or a base b0**q."""
         b0 = self.base
         limit = sys.get_int_max_str_digits() if guard else 0
-        if limit and any(t[2] > (limit + 1) / math.log10(b0) for t in self.tails):
+        if limit and any(max(t[2], t[3]) > (limit + 1) / math.log10(b0) for t in self.tails):
             str(10**limit)
         return sorted([(b0**q, cp * b0**m0, d) for cp, d, m0, q in self.tails])
 
@@ -377,16 +379,16 @@ class SymbolicSet:
     # -- constructions ---------------------------------------------------
 
     def translate(self, g: int) -> "SymbolicSet":
-        """g + A, term by term: a shift keeps the canonical form, and its
-        order except among residues.  Lists, not generators, keep peak RSS down."""
+        """g + A, term by term: a shift keeps the canonical form and its
+        order.  Lists, not generators, keep peak RSS down."""
         if g == 0:
             return self
-        p = self.period
+        p, rs = self.period, self.residues
         return SymbolicSet(
             tuple([x + g for x in self.finite]),
             tuple([(cp, d + g, m0, q) for cp, d, m0, q in self.tails]),
             p,
-            tuple(sorted([(r + g) % p for r in self.residues])),
+            frozenset([(r + g) % p for r in rs]) if rs else rs,
             self.base,
         )
 
@@ -404,10 +406,8 @@ class SymbolicSet:
         for cp, d, m0, q in self.tails:
             t, ck = _val(b0, cp * k)
             tails.append((ck, d * k, m0 + t, q))
-        periodic = []
-        if p is not None:
-            pk = p * abs(k)
-            periodic.append((pk, [r * k % pk for r in self.residues]))
+        pk = p * abs(k) if p is not None else 1  # no residues: no periodic part
+        periodic = [(pk, [r * k % pk for r in self.residues])]
         return _normalize(b0, [x * k for x in self.finite], tails, periodic)
 
     def union(self, *others: "SymbolicSet") -> "SymbolicSet":
@@ -431,10 +431,9 @@ class SymbolicSet:
         tails: list[Tail] = []
 
         for periodic, parts in ((self, other.tails), (other, self.tails)):
-            p = periodic.period
+            p, rset = periodic.period, periodic.residues
             if p is None or not parts:
                 continue
-            rset = frozenset(periodic.residues)
             for (cp, d, m, q), r in _split_at_period(parts, p, b0):
                 if r in rset and q:
                     tails.append((cp, d, m, q))
@@ -478,7 +477,7 @@ class SymbolicSet:
         of its tails, so its canonical form stands unchanged beside P."""
         p = self.period
         if p is not None and g % p == 0:
-            r = SymbolicSet(self.finite, self.tails, None, (), self.base).derive(g)
+            r = SymbolicSet(self.finite, self.tails, base=self.base).derive(g)
             return SymbolicSet(r.finite, r.tails, p, self.residues, self.base)
         return self.intersect(self.translate(g))
 
@@ -500,7 +499,7 @@ class SymbolicSet:
         explicit = tuple([(-g, c.translate(-g)) for g, c in reversed(up)] + up)
 
         classes: list[ClassShift] = []
-        p, rs = self.period, frozenset(self.residues)
+        p, rs = self.period, self.residues
         if p is not None:
             tres = {r for (_, _, _, q), r in _split_at_period(ts, p, self.base) if q}
             deltas = {(r1 - r2) % p for r1 in rs for r2 in rs}
@@ -521,12 +520,12 @@ class SymbolicSet:
         if self.finite:
             bits.append("{" + ",".join(str(x) for x in self.finite) + "}")
         bits.extend(f"geo({b},{c},{d},0)" for b, c, d in self._printed_tails())
-        bits.extend(f"ap({self.period},{r})" for r in self.residues)
+        bits.extend(f"ap({self.period},{r})" for r in sorted(self.residues))
         return " | ".join(bits) if bits else "{}"
 
 
 def _residue_meet(
-    p1: int, res1: Sequence[int], p2: int, res2: Sequence[int]
+    p1: int, res1: Iterable[int], p2: int, res2: Iterable[int]
 ) -> tuple[int, list[int]]:
     """Intersect the residues res1 mod p1 with res2 mod p2, as residues
     mod lcm(p1, p2).  By the CRT, r1 mod p1 meets r2 mod p2 exactly when
@@ -641,11 +640,11 @@ def make_set(
     if base < 2:
         raise ValueError(f"session base must be >= 2, got {base}")
     parts = [_geo_parts(t, base) for t in geos]
-    periodic = [(t.modulus, (t.residue,)) for t in aps]
+    periodic = [(t.modulus, frozenset([t.residue])) for t in aps]
     finite = list(finite)
     if not finite and len(parts) + len(periodic) == 1:
         if parts:
-            return SymbolicSet((), (parts[0],), None, (), base)
+            return SymbolicSet(tails=(parts[0],), base=base)
         return SymbolicSet((), (), *periodic[0], base)
     return _normalize(base, finite, parts, periodic)
 

@@ -3,29 +3,29 @@
 `expression` draws text from the `dsl` grammar with `random.Random(seed)`:
 finite literals, `geo` with bases 2-8, `ap`, the operators `|`, `&`, `+`
 and `*`, unary `-` and parentheses, nested up to NESTING deep, with about
-5% of the integers up to 10^12.  Each expression goes through the stages
-of `thinlab classify`, in its order: parse_set, Engine.classify under the
-default Budget, format_set, parse_set of the printed form, and
-replay_witness for a cycle witness.  Each stage runs under LIMIT seconds
-of CPU time, enforced by an interval timer, so a hang fails the test
-instead of stalling it.
+5% of the integers up to 10^12, set factors among them.  Each expression
+goes through the stages of `thinlab classify`, in its order: parse_set,
+Engine.classify under the default Budget, format_set, parse_set of the
+printed form, and replay_witness for a cycle witness.  Between the round
+trip and the replay, the set's elements in [-WINDOW, WINDOW] are checked
+against `window_semantics`, an evaluator that shares no code with
+thinlab.  Each stage runs under LIMIT seconds of CPU time, enforced by an
+interval timer, so a hang fails the test instead of stalling it.
 
 The test fails on an uncaught exception, a stage over its limit, a replay
-that returns False, a round trip that gives another set, or an error
-raised after classify returned.  Clean refusals are the CLI's exit 2: a
-ParseError of the parse, or a ValueError of classify.
+that returns False, a round trip that gives another set, a window that
+differs from the evaluator's, or an error raised after classify returned.
+Clean refusals are the CLI's exit 2: a ParseError of the parse, or a
+ValueError of classify.
 
 Left out, because they escape the budget today (ROADMAP, table of inputs
 that escape the budget); each joins the fuzz in the change that fixes it:
-- `ap` moduli above MAX_MODULUS = 12, and factors of a set other than
-  0, +-1, +-b and +-b^2 for the session base b.  Both keep the part of a
-  period prime to b at most lcm(1..12) = 27720, so the orbit of b is
-  short.  Past them lie the rows `classify "ap(2053,1) | geo(2,1,0,0)"`,
-  `... "ap(4099,1) | geo(2,1,0,0)"` and `... "ap(99991,1) |
-  geo(2,1,0,0)"` (a tail split by a long orbit), `"(ap(6,1) | ap(6,2)) *
-  10^14"` (the minimal period sought by trial division) and
-  `"ap(100000007,1) & geo(2,1,0,0)"` (a meet with a period past
-  PERIOD_ENUM_LIMIT).
+- `ap` moduli above MAX_MODULUS = 12, which keep the rows of the family
+  `ap(p,1) | geo(2,1,0,0)` out of the draw: `classify "ap(2053,1) |
+  geo(2,1,0,0)"`, `... "ap(4099,1) | geo(2,1,0,0)"` and `...
+  "ap(99991,1) | geo(2,1,0,0)"`, a tail split by a long orbit of 2 into
+  thousands of tails.  A large factor of a set can make such a period
+  too; the seeded draw holds none that escapes.
 - `geo` start indices above MAX_START = 30: the row `classify
   "geo(2,1,0,100000)"`, a set too large to print.
 - unions of thousands of terms, the row of the 4000-term union of
@@ -40,6 +40,7 @@ from contextlib import contextmanager
 
 from thinlab.dsl import ParseError, format_set, parse_set
 from thinlab.engine import Budget, Engine, NotInThinCompletion
+from window_semantics import window_of
 
 SEED = 1
 COUNT = 2000
@@ -47,6 +48,7 @@ NESTING = 4
 MAX_MODULUS = 12  # ap moduli; see the docstring for what lies past these
 MAX_START = 30  # geo start indices
 LIMIT = 2.0  # CPU seconds per stage; every stage takes well under 0.2 s today
+WINDOW = 3000  # the window stage compares the elements in [-WINDOW, WINDOW]
 
 
 def _int(rng: random.Random) -> int:
@@ -68,9 +70,9 @@ def integer(rng: random.Random, depth: int) -> str:
 
 
 def _scale(rng: random.Random, base: int) -> str:
-    """A factor for a set: a power of the base up to base^2, its negative,
-    or rarely 0 (a refusal)."""
-    k = rng.choice((1, base, base * base)) * rng.choice((1, -1))
+    """A factor for a set: a nonzero integer as `_int` draws it, or rarely
+    0 (a refusal)."""
+    k = _int(rng) or 1
     return _signs(rng) + str(0 if rng.random() < 0.03 else k)
 
 
@@ -149,6 +151,14 @@ def run_stages(text: str, base: int) -> str:
         with limit(LIMIT):
             again = parse_set(printed, base)
         assert again == a, f"{printed!r} parses to {again!r}"
+        stage = "window"
+        with limit(LIMIT):
+            got = a.window(-WINDOW, WINDOW)
+            want = sorted(window_of(text, -WINDOW, WINDOW))
+        if got != want:
+            missing = sorted(set(want) - set(got))[:5]
+            extra = sorted(set(got) - set(want))[:5]
+            raise AssertionError(f"window misses {missing} and adds {extra}")
         if isinstance(verdict, NotInThinCompletion):
             stage = "replay"
             with limit(LIMIT):

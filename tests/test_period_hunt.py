@@ -62,7 +62,7 @@ def test_remainder_hunt_matches_the_full_chain(seed):
         if x.period is None:
             continue
         seen += 1
-        rest = SymbolicSet(x.finite, x.tails, None, (), x.base)
+        rest = SymbolicSet(x.finite, x.tails, None, frozenset(), x.base)
         assert rest == _normalize(x.base, x.finite, x.tails, [])
         _check(x)
 

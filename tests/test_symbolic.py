@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +35,8 @@ from thinlab.symbolic import (
     _powmod_orbit,
     _residue_meet,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # ---------------------------------------------------------------------------
 # Independent brute-force evaluation of raw term lists.  All derived
@@ -212,14 +218,14 @@ def test_canonical_form_invariants(rng):
         assert list(a.finite) == sorted(a.finite)
         assert list(a.geos) == sorted(a.geos)
         assert list(a.aps) == sorted(a.aps)
-        # the stored periodic part: minimal period, sorted reduced residues,
-        # and the aps view spelled from it
+        # the stored periodic part: minimal period, the frozenset of reduced
+        # residues, and the aps view spelled from it in order
+        assert type(a.residues) is frozenset
         assert all(0 <= r < a.period for r in a.residues)
-        assert all(r < s for r, s in zip(a.residues, a.residues[1:]))
-        assert (a.period is None) == (a.residues == ())
+        assert (a.period is None) == (a.residues == frozenset())
         if a.period is not None:
-            assert _minimal_shift_period(a.period, frozenset(a.residues)) == a.period
-        assert a.aps == tuple(APTerm(a.period, r) for r in a.residues)
+            assert _minimal_shift_period(a.period, a.residues) == a.period
+        assert a.aps == tuple(APTerm(a.period, r) for r in sorted(a.residues))
         # idempotence
         assert make_set(a.finite, a.geos, a.aps, base=a.base) == a
 
@@ -823,15 +829,15 @@ def test_single_progression_family_matches_the_general_decomposition():
 
 def test_finite_only_normalize_is_the_sorted_distinct_tuple():
     """With no tails and no periodic part, _normalize returns the sorted,
-    distinct finite part; an empty residue list, as a union of finite sets
+    distinct finite part; an empty residue set, as a union of finite sets
     passes, counts as no periodic part."""
     rng = random.Random(41)
     for _ in range(200):
         xs = [rng.randrange(-40, 41) for _ in range(rng.randrange(12))]
         xs += rng.sample(xs, len(xs) // 2)
-        want = SymbolicSet(tuple(sorted(set(xs))), (), None, (), 3)
+        want = SymbolicSet(tuple(sorted(set(xs))), (), None, frozenset(), 3)
         assert _normalize(3, xs, [], []) == want
-        assert _normalize(3, xs, [], [(None, ())]) == want
+        assert _normalize(3, xs, [], [(None, frozenset())]) == want
 
 
 def test_orbit_split_matches_stepping_loop():
@@ -849,6 +855,48 @@ def test_orbit_split_matches_stepping_loop():
                     assert (list(got_head), list(got_firsts), got_step) == (
                         head, firsts, step
                     )
+
+
+def _orbit_by_walk(b: int, m: int) -> tuple[int, int]:
+    """(preperiod, period) of b**e mod m, by recording each power until
+    one comes back: the slow exact reference, O(m) memory."""
+    seen: dict[int, int] = {}
+    val, e = 1 % m, 0
+    while val not in seen:
+        seen[val] = e
+        val, e = val * b % m, e + 1
+    return seen[val], e - seen[val]
+
+
+def test_powmod_orbit_matches_the_walk():
+    for b in range(2, 13):
+        for m in range(1, 1001):
+            assert _powmod_orbit(b, m) == _orbit_by_walk(b, m), (b, m)
+    assert _powmod_orbit(2, 999983) == (0, 499991)
+
+
+def test_a_meet_with_a_long_orbit_stays_small():
+    """ap(999983,1) & geo(2,1,0,0) cuts the tail into 499 991 pieces, one
+    per class of exponents mod ord(2), and keeps one: the pieces are made
+    one at a time, so a fresh interpreter's peak RSS stays under 40 MB.
+    Listing them took four times that.  The child reads VmHWM, the peak of
+    its own address space: on Linux its ru_maxrss also counts the peak of
+    the process it was forked from."""
+    code = (
+        "import re\n"
+        "from pathlib import Path\n"
+        "from thinlab.dsl import parse_set\n"
+        "a = parse_set('ap(999983,1) & geo(2,1,0,0)')\n"
+        "status = Path('/proc/self/status').read_text()\n"
+        "print(a.tails, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    tails, peak_kib = proc.stdout.rsplit(" ", 1)
+    assert tails == "((1, 0, 0, 499991),)"
+    assert int(peak_kib) < 40 * 1024, proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_printed_view_is_unchanged():
         assert list(a.geos) == terms
         bits = ["{" + ",".join(map(str, a.finite)) + "}"] if a.finite else []
         bits += [f"geo({t.base},{t.coeff},{t.offset},{t.n0})" for t in terms]
-        bits += [f"ap({a.period},{r})" for r in a.residues]
+        bits += [f"ap({a.period},{r})" for r in sorted(a.residues)]
         assert repr(a) == (" | ".join(bits) or "{}")
     assert repr(geo(4, 3, -1, 2)) == "geo(4,48,-1,0)"
 
@@ -163,4 +163,27 @@ def test_huge_start_index_is_refused_at_once(call):
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0 and proc.stdout.startswith("Exceeds the limit (4300 digits)")
+
+
+def test_huge_step_is_refused_at_once():
+    """The printed base 2**(10**9) of a tail of step 10**9 is never built
+    either: in a child with its address space capped, repr raises within
+    0.1 s of CPU time."""
+    code = (
+        "import time\n"
+        "from thinlab.symbolic import SymbolicSet\n"
+        "a = SymbolicSet(tails=((1, 0, 0, 10**9),))\n"
+        "start = time.process_time()\n"
+        "try:\n"
+        "    repr(a)\n"
+        "except ValueError as exc:\n"
+        "    print(time.process_time() - start, exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+        check=False, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    spent, message = proc.stdout.split(" ", 1)
+    assert float(spent) < 0.1 and message.startswith("Exceeds the limit (4300 digits)")
 
