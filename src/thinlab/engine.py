@@ -20,43 +20,38 @@ Two universes are supported: SymbolicUniverse(), symbolic subsets of Z
 over the family of finite sets, and FiniteGroupUniverse(family), bitmask
 subsets of the group of a size-bound family, of order at most
 groups.MAX_ORDER.  Levels, witnesses and ranks are invariant under
-translating the root, so classification results and tree ranks are
-memoized per translation orbit on both universes.
+translating the root, so verdicts, heights and tree ranks are memoized per
+translation orbit.  Derived sets only shrink along a path, and a set that
+contains a translate of itself equals it (in a finite group both have the
+same size; on Z the shift must fix the periodic part, the tail offsets and
+the finite part), so tree_rank finds a cycle as a child equal to its parent.
 
-Derived sets only shrink along a path, and a set that contains a translate
-of itself equals it (in a finite group both have the same size; on Z the
-shift must fix the periodic part, the tail offsets and the finite part).
-So a child that is a translate of an ancestor equals its parent: classify
-and tree_rank find a cycle as a fixed point, without comparing a node with
-ancestors.
+classify is one cube reduction.  The paper (arXiv:1011.2585) characterizes
+the thin completion by cubes: A lies in it iff along every sequence g_0,
+g_1, ... of nonzero shifts some intersection of the translates
+g_0^i_0 ... g_n^i_n A, i_j in {0, 1}, lies in F.  The universe reads a
+bottom witness off A, or else the roots D of one height recursion,
+h(D) = 1 + max over the children c of D of h(c), where h(c) <= |c| - t and
+h(c) = 0 for |c| <= t; children are taken largest first, and one that
+cannot beat the best height so far is skipped.
 
-On Z, classify reads the level off the cube structure of the tails.  The
-paper (arXiv:1011.2585) characterizes the thin completion by cubes: A lies
-in it iff along every sequence g_0, g_1, ... of nonzero shifts some
-intersection of the translates g_0^i_0 ... g_n^i_n A, i_j in {0, 1}, lies
-in F.  Likewise the derived set along g_1..g_k is the intersection of the
-translates A + s over the subset sums s of the path, so A_(g_1..g_k) is
-infinite exactly when some tail survives every such translate.  Tails with different reduced coefficients cp meet finitely,
-and two tails of one cp meet infinitely exactly when their exponent sets
-share a class mod Q, the lcm of the tail steps.  For each cp and exponent
-class r let D_(cp,r) be the offsets d of the tails that contain r.  A set
-with a periodic part P is outside the completion: the period branch
-reaches a fixed point.  Deriving by the period p keeps P and never meets
-it, so the branch is P together with the chain of the remainder R (the
-finite part and the tails), which ends at the first empty set: R is
-derived at most once per distinct tail key, until it is finite, and the
-rest of the branch is the longest run y, y - p, ... inside it, counted in
-one pass.  Replaying that witness derives its run of k shifts p along p,
-2p, 4p, ..., which have the same subset sums 0, p, ..., kp, in about
-log2 k derives.  For any other set,
+In a finite group over SizeAtMost(t), A is bottom exactly when some g != 0
+gives it a <g>-coset core A & (A + g) & ... & (A + (ord(g) - 1) g) of more
+than t elements, to which the derives along g shrink A.  Otherwise no
+derived set is bottom, as cores shrink with the set, and a derive strictly
+shrinks any derived set c of more than t elements, else c would be a union
+of <g>-cosets inside A's core: the level is h(A), with children c & (c + g).
 
-    level(A) = max over (cp, r) of h(D_(cp,r)),
-    h({}) = 0,  h(D) = 1 + max over g > 0 of h(D & (D - g)),
-
-a recursion on plain finite sets of integers: h(D) - 1 is the largest k
-with a cube x + sums(g_1..g_k) inside D.  The child D & (D - g) is the
-offset set of the derived set along shift -g, whose sibling along +g is a
-translate of it.
+On Z, t = 0 and the nodes are sets of tail offsets.  A set with a periodic
+part is bottom: its period branch reaches a fixed point.  Otherwise, with
+a derived set the meet of the translates A + s over the subset sums s of
+its path, tails of different reduced coefficients cp meet finitely, and
+two of one cp meet infinitely exactly when their exponent sets share a
+class mod Q, the lcm of the tail steps.  With D_(cp,r) the offsets of the
+tails of cp that hold the class r, the set sits at the largest
+h(D_(cp,r)), the children of D being D & (D - g), g > 0: h(D) - 1 is the
+largest k with a cube x + sums(g_1..g_k) inside D, and D & (D - g) is the
+offset set of the derived set along -g, a translate of that along +g.
 """
 
 from __future__ import annotations
@@ -185,39 +180,6 @@ def _branches(spectrum: ShiftSpectrum) -> list[tuple[int, SymbolicSet]]:
     return sorted(out)
 
 
-def _offset_sets(x: SymbolicSet) -> set[tuple[int, ...]]:
-    """The maximal D_(cp,r) of a set, as sorted offset tuples.
-
-    A tail (cp, d, m0, q) holds the exponent class m0 mod q.  Classes that
-    meet pairwise share a common exponent (CRT), so the offsets over a
-    maximal family of pairwise meeting classes of one cp form a maximal
-    D_(cp,r).  The families are the maximal cliques of the meeting graph,
-    found by Bron-Kerbosch with pivoting, which never enumerates the
-    exponent classes mod the lcm of the steps one by one."""
-    out = set()
-    by_cp: dict[int, dict[tuple[int, int], list[int]]] = {}
-    for cp, d, m0, q in x.tails:
-        by_cp.setdefault(cp, {}).setdefault((m0 % q, q), []).append(d)
-    for offsets in by_cp.values():
-        meets = {
-            c: {e for e in offsets if e != c and (c[0] - e[0]) % math.gcd(c[1], e[1]) == 0}
-            for c in offsets
-        }
-
-        def extend(family: list, cand: set, done: set) -> None:
-            if not cand and not done:
-                out.add(tuple(sorted(d for c in family for d in offsets[c])))
-                return
-            pivot = max(sorted(cand | done), key=lambda c: len(cand & meets[c]))
-            for c in sorted(cand - meets[pivot]):
-                extend(family + [c], cand & meets[c], done & meets[c])
-                cand = cand - {c}
-                done = done | {c}
-
-        extend([], set(offsets), set())
-    return out
-
-
 def _check_shift(g: int) -> None:
     """Raise TypeError unless a shift of Z is a plain int (so not a bool),
     the rule a finite group applies to its elements."""
@@ -252,6 +214,69 @@ class SymbolicUniverse:
         every shift with an infinite child, residue classes of such shifts
         by one representative each."""
         return _branches(x.shift_spectrum())
+
+    def bottom(self, x: SymbolicSet) -> CycleWitness | None:
+        """The witness of the period branch of x = P | R, P its periodic part
+        of period p, or None.  A derive by a multiple of p keeps P and meets
+        R, the finite part and the tails, alone (SymbolicSet.derive); a tail
+        key (cp, d) survives only beside (cp, d - p), so R is derived once per
+        tail key at most, and its finite rest ends after its longest run."""
+        p = x.period
+        if p is None:
+            return None
+        k = 0
+        while x.tails:
+            x = x.derive(p)
+            k += 1
+        runs: dict[int, int] = {}
+        for y in x.finite:
+            runs[y] = runs.get(y - p, 0) + 1
+        k += max(runs.values(), default=0)
+        return CycleWitness((p,) * k, k, p, 0)
+
+    def height_roots(self, x: SymbolicSet) -> list[tuple[int, ...]]:
+        """The maximal D_(cp,r) of a set, as sorted offset tuples, in order.
+
+        A tail (cp, d, m0, q) holds the exponent class m0 mod q.  Classes that
+        meet pairwise share a common exponent (CRT), so the offsets over a
+        maximal family of pairwise meeting classes of one cp form a maximal
+        D_(cp,r).  The families are the maximal cliques of the meeting graph,
+        found by Bron-Kerbosch with pivoting, which never enumerates the
+        exponent classes mod the lcm of the steps one by one."""
+        out = set()
+        by_cp: dict[int, dict[tuple[int, int], list[int]]] = {}
+        for cp, d, m0, q in x.tails:
+            by_cp.setdefault(cp, {}).setdefault((m0 % q, q), []).append(d)
+        for offsets in by_cp.values():
+            meets = {
+                c: {e for e in offsets if e != c and (c[0] - e[0]) % math.gcd(c[1], e[1]) == 0}
+                for c in offsets
+            }
+
+            def extend(family: list, cand: set, done: set) -> None:
+                if not cand and not done:
+                    out.add(tuple(sorted(d for c in family for d in offsets[c])))
+                    return
+                pivot = max(sorted(cand | done), key=lambda c: len(cand & meets[c]))
+                for c in sorted(cand - meets[pivot]):
+                    extend(family + [c], cand & meets[c], done & meets[c])
+                    cand = cand - {c}
+                    done = done | {c}
+
+            extend([], set(offsets), set())
+        return sorted(out)
+
+    def height_key(self, d: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([v - d[0] for v in d]) if d[0] else tuple(d)
+
+    def height_children(self, d: tuple[int, ...]) -> list:
+        """(shifts -g and +g, whose derived sets are translates, child, its
+        size, a bound on its height) per child d & (d - g), g > 0, of d."""
+        children: dict[int, list[int]] = {}
+        for i, a in enumerate(d):
+            for b in d[i + 1:]:
+                children.setdefault(b - a, []).append(a)
+        return [((-g, g), c, len(c)) for g, c in children.items()]
 
     def norm_key(self, x: SymbolicSet) -> SymbolicSet:
         """x moved to put its least geometric offset, else its least
@@ -289,9 +314,9 @@ class SymbolicUniverse:
 
 class FiniteGroupUniverse:
     """Bitmask subsets of the group of a size-bound family, of order at
-    most MAX_ORDER.  children and norm_key read one unchecked mask_orbit
-    per node; norm_key, the least mask of the orbit, keys both the verdict
-    and the rank memo.  translate and derive check the mask and the shift."""
+    most MAX_ORDER.  bottom, children and norm_key read one unchecked
+    mask_orbit per node; norm_key, the least mask of the orbit, keys every
+    memo.  translate and derive check the mask and the shift."""
 
     def __init__(self, family: SizeAtMost):
         self.group = family.group
@@ -300,6 +325,12 @@ class FiniteGroupUniverse:
             raise ValueError(
                 f"group order {int_text(self.group.order)} exceeds supported maximum {MAX_ORDER}"
             )
+        # (g, [g, 2g, ..., ord(g) g = 0]) for every g != 0, g ascending; set
+        # here, as an attribute added later slows every attribute read
+        self._multiples = [(g, [g]) for g in self.group.nonidentity()]
+        for g, run in self._multiples:
+            while run[-1]:
+                run.append(self.group.op(run[-1], g))
 
     def validate(self, x: int) -> None:
         check_mask(self.group, x)
@@ -319,8 +350,34 @@ class FiniteGroupUniverse:
         """(g, x & (g + x)) for every nonidentity g."""
         return zip(range(1, self.group.order), [x & t for t in mask_orbit(self.group, x)[1:]])
 
+    def bottom(self, x: int) -> CycleWitness | None:
+        """The witness (g,)*k of the fewest derives k, then the least g, that
+        reach a <g>-core of more than t elements, or None.  The k-th derive
+        along g, the meet of the translates by 0, g, ..., kg, is the core
+        once a derive keeps it; a walk stops at t elements or fewer."""
+        orbit, witness, fewest = mask_orbit(self.group, x), None, self.group.order
+        for g, run in self._multiples:
+            y = x
+            for k, h in zip(range(fewest), run):
+                z = y & orbit[h]
+                if z == y:
+                    witness, fewest = CycleWitness((g,) * k, k, g, 0), k
+                if z == y or z.bit_count() <= self.family.t:
+                    break
+                y = z
+        return witness
+
+    def height_roots(self, x: int) -> tuple[int]:
+        return (x,)
+
+    def height_children(self, x: int) -> list:
+        """(shifts, child, |child| - t, a bound on its height) per child."""
+        return [((g,), c, c.bit_count() - self.family.t) for g, c in self.children(x)]
+
     def norm_key(self, x: int) -> int:
         return min(mask_orbit(self.group, x))
+
+    height_key = norm_key
 
     def match_translate(self, x: int, y: int) -> int | None:
         """First g in numeric order with y == g + x, if one exists."""
@@ -415,7 +472,7 @@ class Engine:
     def __init__(self, universe: SymbolicUniverse | FiniteGroupUniverse | None = None):
         self.universe = universe if universe is not None else SymbolicUniverse()
         self._memo: dict = {}
-        self._heights: dict[tuple[int, ...], int] = {}
+        self._heights: dict = {}
         self._ranks: dict = {}
 
     # -- public API -------------------------------------------------------
@@ -425,13 +482,15 @@ class Engine:
         self.universe.validate(x)
         if self.universe.in_family(x):
             return ExactLevel(0)
-        counter = _Counter(budget)
-        try:
-            if isinstance(self.universe, SymbolicUniverse):
-                return self._classify_z(x, counter)
-            return self._rec(x, (), counter)
-        except _BudgetStop as stop:
-            return stop.unknown
+        key = self.universe.norm_key(x)
+        if key not in self._memo:
+            witness, counter = self.universe.bottom(key), _Counter(budget)
+            try:
+                self._memo[key] = NotInThinCompletion(witness) if witness else ExactLevel(max(
+                    self._height(r, (), counter) for r in self.universe.height_roots(key)))
+            except _BudgetStop as stop:
+                return stop.unknown
+        return self._memo[key]
 
     def derived_set(self, x, path: Iterable[int]):
         """The derived set of x along path.  On Z a run of k equal shifts g
@@ -525,33 +584,6 @@ class Engine:
 
     # -- internals --------------------------------------------------------
 
-    def _rec(self, x, shifts: tuple[int, ...], counter: _Counter):
-        key = self.universe.norm_key(x)
-        if key in self._memo:
-            return self._memo[key]
-        counter.enter(shifts)
-
-        child_levels: list[int] = []
-        for g, child in self.universe.children(x):
-            counter.tick(shifts, g)
-            if self.universe.in_family(child):
-                continue
-            if child == x:
-                verdict = NotInThinCompletion(CycleWitness((), 0, g, 0))
-                break
-            sub = self._rec(child, shifts + (g,), counter)
-            if isinstance(sub, NotInThinCompletion):
-                w = sub.witness
-                verdict = NotInThinCompletion(CycleWitness(
-                    (g,) + w.path, w.ancestor_index + 1, w.repeat_shift, w.translation
-                ))
-                break
-            child_levels.append(sub.level)
-        else:
-            verdict = ExactLevel(1 + max(child_levels, default=0))
-        self._memo[key] = verdict
-        return verdict
-
     def _rank(self, y, shifts: tuple[int, ...], counter: _Counter):
         """The tree rank of y, a set outside the family, memoized per
         translation orbit."""
@@ -573,61 +605,21 @@ class Engine:
         self._ranks[key] = rank
         return rank
 
-    def _classify_z(self, x: SymbolicSet, counter: _Counter):
-        """The level of a subset of Z by the cube reduction, memoized per
-        translation orbit; a set with a periodic part gets its period witness."""
-        if x.period is not None:
-            return self._period_witness(x)
-        key = self.universe.norm_key(x)
-        if key not in self._memo:
-            self._memo[key] = ExactLevel(max(
-                self._height(d, (), counter) for d in sorted(_offset_sets(x))
-            ))
-        return self._memo[key]
-
-    def _height(self, d: tuple[int, ...], shifts: tuple[int, ...], counter: _Counter) -> int:
-        """h(d) for sorted nonempty offsets d reached along shifts, memoized
-        on the translate with least offset 0.  One pass over the pairs of d
-        builds every child d & (d - g); each costs two nodes, for the
-        derivation shifts -g and +g, whose derived sets are translates of
-        each other.  Children are taken largest first, and since a child
-        loses the largest offset, h(c) <= |c|: a child no larger than the
-        best height so far cannot raise it and is not descended into."""
-        key = tuple([v - d[0] for v in d]) if d[0] else d
+    def _height(self, node, shifts: tuple[int, ...], counter: _Counter) -> int:
+        """The height of a node outside the family reached along shifts,
+        memoized on its height_key.  A child costs a node per shift it
+        stands for; children come largest height bound first, ties to the
+        least shift, and one bound by the best height so far is skipped."""
+        key = self.universe.height_key(node)
         if key in self._heights:
             return self._heights[key]
         counter.enter(shifts)
-        children: dict[int, list[int]] = {}
-        for i, a in enumerate(key):
-            for b in key[i + 1:]:
-                children.setdefault(b - a, []).append(a)
         best = 0
-        for g, child in sorted(children.items(), key=lambda gc: (-len(gc[1]), gc[0])):
-            counter.tick(shifts, -g)
-            counter.tick(shifts, g)
-            if len(child) > best:
-                best = max(best, self._height(tuple(child), shifts + (-g,), counter))
+        children = sorted(self.universe.height_children(key), key=lambda c: (-c[2], c[0][-1]))
+        for ticks, child, bound in children:
+            for g in ticks:
+                counter.tick(shifts, g)
+            if bound > best:
+                best = max(best, self._height(child, shifts + ticks[:1], counter))
         self._heights[key] = 1 + best
         return 1 + best
-
-    def _period_witness(self, x: SymbolicSet) -> NotInThinCompletion:
-        """The cycle witness of the period branch of a set x = P | R with
-        periodic part P of period p and remainder R, the finite part and
-        the tails.  Every derive by a multiple of p meets R alone and keeps
-        P (SymbolicSet.derive states the lemma), so the k-th set of the
-        branch is P | R_k with R_k the k-th set of R's chain; R_k holds no
-        periodic subset, so the fixed point comes at the first empty R_k.
-        A tail key (cp, d) of R_(k+1) needs (cp, d) and (cp, d - p) in R_k,
-        so each derive drops the least offset of every cp: x is derived at
-        most once per distinct tail key, and its finite rest then empties
-        after its longest run y, y - p, ..., counted in one ascending pass."""
-        p = x.period
-        k = 0
-        while x.tails:
-            x = x.derive(p)
-            k += 1
-        runs: dict[int, int] = {}
-        for y in x.finite:
-            runs[y] = runs.get(y - p, 0) + 1
-        k += max(runs.values(), default=0)
-        return NotInThinCompletion(CycleWitness((p,) * k, k, p, 0))

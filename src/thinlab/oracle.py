@@ -224,9 +224,9 @@ class CrossCheckReport:
 
 
 def cross_check(table: OracleTable, budget: Budget | None = None) -> CrossCheckReport:
-    """Classify every subset with the engine (full branching) and compare
-    levels, bottom verdicts, tree ranks, and witness replays against the
-    table."""
+    """Classify every subset with the engine (coset core and size cut) and
+    compare levels, bottom verdicts, tree ranks, and witness replays
+    against the table."""
     engine = Engine(FiniteGroupUniverse(table.family))
     budget = budget if budget is not None else Budget()
     mismatches: list[tuple] = []

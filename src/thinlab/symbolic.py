@@ -171,7 +171,8 @@ def _split_at_period(tails: Sequence[Tail], p: int, b0: int) -> Iterator[tuple[T
     is one periodic class of a tail's exponents; a piece (cp, d, m, 0), the
     tail {cp * b0**m + d} of step 0, is an exponent below the preperiod or
     a single exponent as given.  A tail has up to p pieces, yielded one at
-    a time; a period past PERIOD_ENUM_LIMIT is refused when there are tails."""
+    a time, each residue one multiplication by b0**j mod p from the last; a
+    period past PERIOD_ENUM_LIMIT is refused when there are tails."""
     if not tails:
         return
     if p > PERIOD_ENUM_LIMIT:
@@ -180,9 +181,11 @@ def _split_at_period(tails: Sequence[Tail], p: int, b0: int) -> Iterator[tuple[T
     u, v = _powmod_orbit(b0, p)
     for cp, d, s, j in tails:
         head, firsts, step = _orbit_split(s, j, u, v) if j else ((s,), (), 0)
+        power, jump = pow(b0, s, p), pow(b0, j, p)
         for ms, q in ((head, 0), (firsts, step)):
             for m in ms:
-                yield (cp, d, m, q), (cp * pow(b0, m, p) + d) % p
+                yield (cp, d, m, q), (cp * power + d) % p
+                power = power * jump % p
 
 
 def _decompose_family(

@@ -743,7 +743,7 @@ def test_symbolic_set_containing_a_translate_of_itself_equals_it(rng, max_ap):
 
 
 def test_norm_key_is_a_translate_constant_on_translation_orbits(rng):
-    """Sets without a periodic part, the only ones classify memoizes."""
+    """Sets without a periodic part; classify memoizes on the same key."""
     universe = SymbolicUniverse()
     for _ in range(300):
         a = random_set(rng, max_ap=0)

@@ -1,6 +1,6 @@
 """The period branch of a set with a periodic part, counted on the remainder.
 
-Engine._period_witness derives only R, the finite part and the tails, and
+SymbolicUniverse.bottom derives only R, the finite part and the tails, and
 only while R has tails, at most once per distinct tail key; the rest of
 the branch is the longest run y, y - p, ... of R's finite part.  These
 tests read the witness off the full chain x, x & (x + p), ... instead,

@@ -34,6 +34,7 @@ from thinlab.symbolic import (
     _partner_index,
     _powmod_orbit,
     _residue_meet,
+    _split_at_period,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -873,6 +874,29 @@ def test_powmod_orbit_matches_the_walk():
         for m in range(1, 1001):
             assert _powmod_orbit(b, m) == _orbit_by_walk(b, m), (b, m)
     assert _powmod_orbit(2, 999983) == (0, 499991)
+
+
+def test_split_at_period_residues_match_pow():
+    """The split steps each tail's residues by one multiplication; every
+    piece, in the order yielded, still carries cp * b0**m + d mod p.  Moduli
+    that share primes with b0 cut pieces of step 0 below the preperiod."""
+    rng = random.Random(16)
+    below_preperiod = 0
+    for _ in range(400):
+        b0, p = rng.choice([2, 3, 6, 10]), rng.randrange(1, 300)
+        tails = [
+            (rng.choice([1, -1, 5, 7]), rng.randrange(-50, 50), rng.randrange(12), rng.randrange(4))
+            for _ in range(rng.randrange(1, 4))
+        ]
+        u, v = _powmod_orbit(b0, p)
+        want = []
+        for cp, d, s, j in tails:
+            head, firsts, step = _orbit_split(s, j, u, v) if j else ((s,), (), 0)
+            want += [((cp, d, m, 0), (cp * pow(b0, m, p) + d) % p) for m in head]
+            want += [((cp, d, m, step), (cp * pow(b0, m, p) + d) % p) for m in firsts]
+            below_preperiod += sum(1 for m in head if j and m < u)
+        assert list(_split_at_period(tails, p, b0)) == want, (tails, p, b0)
+    assert below_preperiod > 50
 
 
 def test_a_meet_with_a_long_orbit_stays_small():
