@@ -10,7 +10,7 @@ would pass `MAX_STEP_BITS` bits.
 
 `escalate` lifts a set one exact hierarchy level (scale by 3, union a
 translate); `union_level_check` classifies a union of two classified sets
-against the c-derived bounds.
+against the union bounds: exact up to k = 2, the c-derived recursion above.
 """
 
 from __future__ import annotations
@@ -132,10 +132,11 @@ class UnionLevelReport:
 
     `raw_bound` is c(2, k) for k the larger input level; it undercounts by
     up to k (its derivation drops one level per union step), so
-    `adjusted_bound` = c(2, k) + k is the bound actually asserted.  Where
-    `c_n_k` refuses c(2, k) (every k >= 4: its argument would pass
+    `adjusted_bound`, the bound actually asserted, is c(2, k) + k, except
+    at k = 2, where it is the exact bound 7 (see `union_level_check`).
+    Where `c_n_k` refuses c(2, k) (every k >= 4: its argument would pass
     `MAX_STEP_BITS` bits), both are None and the report states the union's
-    level with no bound, so both `within_*` are None.
+    level with no bound, so `within_adjusted_bound` is None.
     An Unknown union verdict is reported as inconclusive, never a failure.
     """
 
@@ -160,11 +161,6 @@ class UnionLevelReport:
         lv, bound = self.union_level, self.adjusted_bound
         return None if lv is None or bound is None else lv <= bound
 
-    @property
-    def within_raw_bound(self) -> bool | None:
-        lv, bound = self.union_level, self.raw_bound
-        return None if lv is None or bound is None else lv <= bound
-
 
 def union_level_check(
     a: SymbolicSet,
@@ -172,6 +168,19 @@ def union_level_check(
     engine: Engine | None = None,
     budget: Budget | None = None,
 ) -> UnionLevelReport:
+    """Classify A, B and A | B, and report the union's level against the
+    bound for k, the larger input level.
+
+    The bound is exact for k <= 2.  At k = 1 it is c(2, 1) + 1 = 2.  At
+    k = 2 it is 7 in place of c(2, 2) + 2 = 18.  A level on Z is 1 plus the
+    largest dimension of a cube x + sums(g_1..g_K) inside one offset set D
+    of the set's tails, and the offset sets of A | B are unions D | E of
+    offset sets of A and of B.  Color a K-cube inside D | E by membership
+    of each vertex in D.  A one-colored Boolean square is a 2-cube inside D
+    or inside E, which level 2 rules out, so K < R_B(2) = 7 and the level
+    is at most 7 (tests/test_boolean_squares.py proves R_B(2) = 7).  The
+    window pair D = {1,3,4}, E = {0,2,5,6} reaches 7.  From k = 3 on the
+    bound is the paper's recursion, c(2, k) + k."""
     engine = engine if engine is not None else Engine()
     va = engine.classify(a, budget)
     vb = engine.classify(b, budget)
@@ -196,6 +205,6 @@ def union_level_check(
         union_verdict=union_verdict,
         k=k,
         raw_bound=raw,
-        adjusted_bound=None if raw is None else raw + k,
+        adjusted_bound=None if raw is None else 7 if k == 2 else raw + k,
         inconclusive=isinstance(union_verdict, Unknown),
     )

@@ -17,6 +17,7 @@ is not given.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -29,7 +30,6 @@ from .engine import (
     ExactLevel,
     NotInThinCompletion,
     SymbolicUniverse,
-    TreeNode,
     Unknown,
     MAX_DUMP_DEPTH,
     check_dump_depth,
@@ -106,16 +106,17 @@ def _expression_report(text: str, work) -> tuple:
 
 
 def _classify_one(text: str, args: argparse.Namespace, budget: Budget) -> tuple[dict, int]:
-    """Parse, classify on a fresh engine (so no verdict depends on what came
-    before), replay and print one expression, as a report."""
+    """Parse and print one expression, then classify it on a fresh engine
+    (so no verdict depends on what came before) and replay its witness, as
+    a report.  A set that cannot print is refused before it is classified."""
 
     def work() -> tuple[dict, int]:
         a = parse_set(text, base=args.base)
+        report = {"input": text, "set": format_set(a)}
         engine = Engine(SymbolicUniverse())
         t0 = time.perf_counter()
         verdict = engine.classify(a, budget)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        report = {"input": text, "set": format_set(a)}
         fields, code = _verdict_fields(engine, a, verdict)
         report.update(fields)
         if not args.no_timing:
@@ -179,31 +180,61 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- tree ---------------------------------------------------------------
 
 
-def _tree_text(node: TreeNode, shift: int | None = None, indent: int = 0) -> list[str]:
+def _tree_text(node: dict, shift: int | None = None, indent: int = 0) -> list[str]:
     tags = []
-    if node.in_family:
+    if node["in_family"]:
         tags.append("in family")
-    if node.rank is not None:
-        tags.append(f"rank {node.rank}")
-    if node.truncated:
+    if node["rank"] is not None:
+        tags.append(f"rank {node['rank']}")
+    if node["truncated"]:
         tags.append("...")
     head = "  " * indent
     if shift is not None:
         head += f"g={shift:+d}: "
-    head += node.label
+    head += node["set"]
     if tags:
         head += "  [" + ", ".join(tags) + "]"
     lines = [head]
-    for cls in node.classes:
+    for cls in node["classes"]:
         uniform = "uniform" if cls["uniform"] else "sampled"
         lines.append(
             "  " * (indent + 1)
             + f"class g = {cls['residue']} (mod {cls['modulus']}), "
             + f"representative g={cls['representative']:+d}, {uniform}"
         )
-    for g, child in node.children:
-        lines.extend(_tree_text(child, g, indent + 1))
+    for child in node["children"]:
+        lines.extend(_tree_text(child["node"], child["shift"], indent + 1))
     return lines
+
+
+def tree_dot(dump: dict) -> str:
+    """A dump of Engine.tree_dump as a Graphviz digraph: a box per node, and
+    a dashed box per residue class of shifts."""
+    lines = ["digraph derivation_tree {", '  node [shape=box, fontname="monospace"];']
+    counter = itertools.count()
+
+    def visit(node: dict) -> int:
+        nid = next(counter)
+        rank = "" if node["rank"] is None else f"\\nrank {node['rank']}"
+        flag = " (in family)" if node["in_family"] else ""
+        trunc = "\\n..." if node["truncated"] else ""
+        label = node["set"].replace('"', r"\"")
+        lines.append(f'  n{nid} [label="{label}{flag}{rank}{trunc}"];')
+        for child in node["children"]:
+            cid = visit(child["node"])
+            lines.append(f'  n{nid} -> n{cid} [label="g={child["shift"]}"];')
+        for cls in node["classes"]:
+            cid = next(counter)
+            lines.append(
+                f'  n{cid} [label="class g = {cls["residue"]} mod {cls["modulus"]}"'
+                ", style=dashed];"
+            )
+            lines.append(f"  n{nid} -> n{cid} [style=dashed];")
+        return nid
+
+    visit(dump)
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
@@ -212,7 +243,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
     prints it), else as text on stderr; a bad --depth is a command error."""
     check_dump_depth(args.depth)  # main reports its ValueError
 
-    def work() -> tuple[TreeNode, int]:
+    def work() -> tuple[dict, int]:
         a = parse_set(args.expr, base=args.base)
         return Engine(SymbolicUniverse()).tree_dump(a, depth=args.depth), EXIT_OK
 
@@ -224,9 +255,9 @@ def cmd_tree(args: argparse.Namespace) -> int:
             _print_text_report(dump)
         return code
     if args.format == "json":
-        print(dump.to_json())
+        print(json.dumps(dump))
     elif args.format == "dot":
-        print(dump.to_dot())
+        print(tree_dot(dump))
     else:
         print("\n".join(_tree_text(dump)))
     return EXIT_OK

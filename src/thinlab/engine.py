@@ -14,7 +14,8 @@ The engine computes, exactly:
   honest Unknown when the node/depth budget runs out;
 * tree_rank: the well-founded rank of the derivation tree, by an
   independent recursion (used to cross-check classify);
-* tree_dump: the top of the derivation tree for inspection.
+* tree_dump: the top of the derivation tree for inspection, as the JSON
+  document that `thinlab tree --format json` prints.
 
 Two universes are supported: SymbolicUniverse(), symbolic subsets of Z
 over the family of finite sets, and FiniteGroupUniverse(family), bitmask
@@ -57,9 +58,8 @@ offset set of the derived set along -g, a translate of that along +g.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .groups import MAX_ORDER, check_mask, int_text, mask_elements, mask_orbit, mask_translate
@@ -270,8 +270,9 @@ class SymbolicUniverse:
         return tuple([v - d[0] for v in d]) if d[0] else tuple(d)
 
     def height_children(self, d: tuple[int, ...]) -> list:
-        """(shifts -g and +g, whose derived sets are translates, child, its
-        size, a bound on its height) per child d & (d - g), g > 0, of d."""
+        """(shifts, child, bound) per child d & (d - g), g > 0, of d: the
+        shifts are -g and +g, whose derived sets are translates, and the
+        bound on the child's height is its size."""
         children: dict[int, list[int]] = {}
         for i, a in enumerate(d):
             for b in d[i + 1:]:
@@ -371,7 +372,8 @@ class FiniteGroupUniverse:
         return (x,)
 
     def height_children(self, x: int) -> list:
-        """(shifts, child, |child| - t, a bound on its height) per child."""
+        """(shifts, child, bound) per child: the shifts are (g,), and the
+        bound on the child's height is |child| - t."""
         return [((g,), c, c.bit_count() - self.family.t) for g, c in self.children(x)]
 
     def norm_key(self, x: int) -> int:
@@ -388,63 +390,6 @@ class FiniteGroupUniverse:
 
     def describe(self, x: int) -> str:
         return "{" + ",".join(str(a) for a in mask_elements(self.group, x)) + "}"
-
-
-@dataclass
-class TreeNode:
-    """One node of a dumped derivation tree."""
-
-    path: tuple[int, ...]
-    label: str
-    in_family: bool
-    rank: int | None
-    truncated: bool
-    children: list[tuple[int, "TreeNode"]] = field(default_factory=list)
-    classes: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "path": list(self.path),
-            "set": self.label,
-            "in_family": self.in_family,
-            "rank": self.rank,
-            "truncated": self.truncated,
-            "children": [
-                {"shift": g, "node": node.to_dict()} for g, node in self.children
-            ],
-            "classes": self.classes,
-        }
-
-    def to_json(self) -> str:
-        """to_dict as JSON on one line, so linear in the size of the tree."""
-        return json.dumps(self.to_dict())
-
-    def to_dot(self) -> str:
-        lines = ["digraph derivation_tree {", '  node [shape=box, fontname="monospace"];']
-        counter = itertools.count()
-
-        def visit(node: TreeNode) -> int:
-            nid = next(counter)
-            rank = "" if node.rank is None else f"\\nrank {node.rank}"
-            flag = " (in family)" if node.in_family else ""
-            trunc = "\\n..." if node.truncated else ""
-            label = node.label.replace('"', r"\"")
-            lines.append(f'  n{nid} [label="{label}{flag}{rank}{trunc}"];')
-            for g, child in node.children:
-                cid = visit(child)
-                lines.append(f'  n{nid} -> n{cid} [label="g={g}"];')
-            for cls in node.classes:
-                cid = next(counter)
-                lines.append(
-                    f'  n{cid} [label="class g = {cls["residue"]} mod {cls["modulus"]}"'
-                    ", style=dashed];"
-                )
-                lines.append(f"  n{nid} -> n{cid} [style=dashed];")
-            return nid
-
-        visit(self)
-        lines.append("}")
-        return "\n".join(lines)
 
 
 # The deepest tree_dump.  json's encoder takes a frame for each of the three
@@ -530,47 +475,41 @@ class Engine:
         except _BudgetStop as stop:
             return stop.unknown
 
-    def tree_dump(self, x, depth: int = 3) -> TreeNode:
-        """The root of the derivation tree to the given depth.  Ranks are
+    def tree_dump(self, x, depth: int = 3) -> dict:
+        """The derivation tree to the given depth as its JSON document.  A
+        node is {"path", "set", "in_family", "rank", "truncated", "children",
+        "classes"}, a child {"shift", "node"}, a residue class of shifts
+        {"modulus", "residue", "representative", "uniform"}.  Ranks are
         filled in only where the subtree was fully expanded."""
         check_dump_depth(depth)
         self.universe.validate(x)
 
-        def build(y, path: tuple[int, ...], left: int) -> TreeNode:
+        def build(y, path: list[int], left: int) -> dict:
             in_fam = self.universe.in_family(y)
-            node = TreeNode(
-                path=path,
-                label=self.universe.describe(y),
-                in_family=in_fam,
-                rank=0 if in_fam else None,
-                truncated=False,
-            )
-            if in_fam:
-                return node
-            if left == 0:
-                node.truncated = True
+            node = {"path": path, "set": self.universe.describe(y), "in_family": in_fam,
+                    "rank": 0 if in_fam else None, "truncated": not in_fam and left == 0,
+                    "children": [], "classes": []}
+            if in_fam or left == 0:
                 return node
             if isinstance(self.universe, SymbolicUniverse):
                 spectrum = y.shift_spectrum()
-                node.classes = [
-                    {
-                        "modulus": cls.modulus,
-                        "residue": cls.residue,
-                        "representative": cls.representative,
-                        "uniform": cls.uniform,
-                    }
+                node["classes"] = [
+                    {"modulus": cls.modulus, "residue": cls.residue,
+                     "representative": cls.representative, "uniform": cls.uniform}
                     for cls in spectrum.classes
                 ]
                 branches = _branches(spectrum)
             else:
                 branches = self.universe.children(y)
-            for g, c in branches:
-                node.children.append((g, build(c, path + (g,), left - 1)))
-            if not node.classes and all(ch.rank is not None for _, ch in node.children):
-                node.rank = 1 + max((ch.rank for _, ch in node.children), default=0)
+            node["children"] = [
+                {"shift": g, "node": build(c, path + [g], left - 1)} for g, c in branches
+            ]
+            ranks = [child["node"]["rank"] for child in node["children"]]
+            if not node["classes"] and None not in ranks:
+                node["rank"] = 1 + max(ranks, default=0)
             return node
 
-        return build(x, (), depth)
+        return build(x, [], depth)
 
     def replay_witness(self, x, witness: CycleWitness) -> bool:
         """Recompute the derived sets named by a witness, a run of k equal

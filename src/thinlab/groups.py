@@ -87,10 +87,6 @@ class GroupDescriptor:
             stride *= n
         return total
 
-    def elements(self) -> Iterator[int]:
-        """All elements in deterministic (numeric) order."""
-        return iter(range(self.order))
-
     def nonidentity(self) -> Iterator[int]:
         return iter(range(1, self.order))
 

@@ -88,9 +88,6 @@ class OracleTable:
     def level(self, mask: int) -> int:
         return self.levels[mask]
 
-    def is_bottom(self, mask: int) -> bool:
-        return self.levels[mask] == BOTTOM
-
     def max_level(self) -> int:
         return max((v for v in self.levels if v != BOTTOM), default=0)
 
@@ -113,12 +110,6 @@ class OracleTable:
             piece = ", ".join(map(str, self.levels[start : start + _ROWS]))
             yield ", " + piece if start else piece
         yield "]}"
-
-    def to_csv(self) -> str:
-        return "".join(self.csv_chunks())
-
-    def to_json(self) -> str:
-        return "".join(self.json_chunks())
 
 
 def build_table(group: GroupDescriptor, family: SizeAtMost) -> OracleTable:

@@ -337,9 +337,6 @@ class SymbolicSet:
     def is_finite(self) -> bool:
         return not self.tails and self.period is None
 
-    def is_empty(self) -> bool:
-        return not self.finite and self.is_finite()
-
     @property
     def aps(self) -> tuple[APTerm, ...]:
         """The periodic part as sorted terms ap(period, r): the printed view."""

@@ -218,7 +218,7 @@ def test_union_check_frozen_translate_pair():
     assert report.union_verdict == ExactLevel(2)
     assert report.union_level == 2
     assert (report.raw_bound, report.adjusted_bound) == (1, 2)
-    assert report.within_raw_bound is False  # raw recursion undercounts
+    assert report.union_level > report.raw_bound  # raw recursion undercounts
     assert report.within_adjusted_bound is True
     assert not report.inconclusive
 
@@ -226,7 +226,7 @@ def test_union_check_frozen_translate_pair():
 def test_union_check_self_union():
     report = union_level_check(A, A)
     assert report.union_verdict == ExactLevel(1)
-    assert report.within_raw_bound is True
+    assert report.union_level <= report.raw_bound
 
 
 def test_union_check_rejects_unclassified():
@@ -258,7 +258,6 @@ def test_union_check_reports_level_four_without_a_bound():
     assert (report.level_a, report.level_b, report.k) == (4, 4, 4)
     assert report.union_verdict == ExactLevel(5)
     assert (report.raw_bound, report.adjusted_bound) == (None, None)
-    assert report.within_raw_bound is None
     assert report.within_adjusted_bound is None
     assert not report.inconclusive
 
@@ -268,7 +267,8 @@ def test_union_check_window_witness_pair_reaches_seven():
     seven, so the unions of geo(2,1,d,0) over D and over E sit at level 2
     and theirs at level 7.  That is the most two level-2 sets can reach
     (every 2-coloring of the subsets of a 7-set has a one-colored Boolean
-    square), while the asserted bound at k = 2 is still 18."""
+    square), and the bound union_level_check asserts at k = 2 is that
+    exact 7, where c(2, 2) + 2 would give 18."""
 
     def tails(offsets):
         out = empty_set()
@@ -282,9 +282,21 @@ def test_union_check_window_witness_pair_reaches_seven():
     assert eng.classify(tails(range(7))) == ExactLevel(7)
     report = union_level_check(d_set, e_set, eng)
     assert (report.level_a, report.level_b, report.k) == (2, 2, 2)
-    assert (report.union_level, report.adjusted_bound) == (7, 18)
+    assert (report.raw_bound, report.union_level, report.adjusted_bound) == (16, 7, 7)
     assert report.within_adjusted_bound is True
     assert not report.inconclusive
+
+
+def test_union_check_level_three_keeps_the_recursion():
+    """Above k = 2 the asserted bound is the paper's recursion, c(2, k) + k."""
+    eng = Engine()
+    stage = escalate(escalate(A, eng), eng)
+    report = union_level_check(stage, stage.translate(1000), eng)
+    assert (report.level_a, report.level_b, report.k) == (3, 3, 3)
+    assert report.union_level == 4
+    assert report.raw_bound == c_n_k(2, 3)
+    assert report.adjusted_bound == c_n_k(2, 3) + 3
+    assert report.within_adjusted_bound is True
 
 
 def test_union_check_random_geo_pairs(rng):

@@ -157,6 +157,27 @@ def test_classify_unprintable_set(capsys):
     assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
 
 
+def test_classify_prints_the_set_before_classifying_it(capsys, monkeypatch):
+    """An unprintable set is refused before the engine spends its budget on
+    a verdict that could not be printed; a printable one is classified
+    once."""
+    calls = []
+    classify = Engine.classify
+
+    def counted(self, x, budget=None):
+        calls.append(None)
+        return classify(self, x, budget)
+
+    monkeypatch.setattr(Engine, "classify", counted)
+    with pytest.raises(ValueError) as digits:
+        str(1 << 100000)
+    code, out, err = run(capsys, "classify", "geo(2,1,0,100000)", "--no-timing")
+    assert (code, out, err, len(calls)) == (2, "", f"error: {digits.value}\n", 0)
+    code, out, err = run(capsys, "classify", "geo(2,1,0,0)", "--no-timing")
+    assert (code, err, len(calls)) == (0, "", 1)
+    assert out.endswith("verdict: exact_level\nlevel: 1\n")
+
+
 def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -447,14 +468,14 @@ def test_tree_prints_at_the_depth_bound_and_refuses_past_it(capsys, fmt):
 
 
 def test_tree_json_is_one_line_linear_in_the_depth(capsys):
-    """The JSON dump is the tree's to_dict on one line.  With an indent a
+    """The JSON dump is tree_dump's document on one line.  With an indent a
     line at depth k carried about 6k spaces, and the depth-200 dump of
     ap(2,0) was 18.8 MB; on one line it is about 100 KB."""
     code, out, err = run(capsys, "tree", "ap(2,0)", "--format", "json",
                          "--depth", str(MAX_DUMP_DEPTH))
     assert (code, err) == (0, "")
     assert len(out.encode()) <= 200_000 and out.count("\n") == 1
-    expect = Engine().tree_dump(parse_set("ap(2,0)"), depth=MAX_DUMP_DEPTH).to_dict()
+    expect = Engine().tree_dump(parse_set("ap(2,0)"), depth=MAX_DUMP_DEPTH)
     assert json.loads(out) == expect
 
 

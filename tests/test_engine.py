@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from thinlab.cli import tree_dot
 from thinlab.engine import (
     MAX_DUMP_DEPTH,
     NOT_WELL_FOUNDED,
@@ -405,39 +406,40 @@ def test_tree_rank_memoized_per_mask_on_finite_groups():
 
 def test_tree_dump_finite_root():
     root = Engine().tree_dump(finite_set([3]), depth=2)
-    assert root.in_family and root.rank == 0
-    assert not root.children and not root.classes
-    assert not root.truncated
+    assert root["in_family"] and root["rank"] == 0
+    assert not root["children"] and not root["classes"]
+    assert not root["truncated"]
 
 
 def test_tree_dump_geo():
     root = Engine().tree_dump(A, depth=2)
-    assert not root.in_family
-    assert root.rank == 1
-    assert not root.truncated
-    assert not root.children and not root.classes
+    assert not root["in_family"]
+    assert root["rank"] == 1
+    assert not root["truncated"]
+    assert not root["children"] and not root["classes"]
 
 
 def test_tree_dump_progression_chain():
     node = Engine().tree_dump(ap(2, 0), depth=3)
     for d in range(3):
-        assert node.label == "ap(2,0)"
-        assert node.rank is None  # subtree never completes
-        assert len(node.classes) == 1
-        cls = node.classes[0]
+        assert node["set"] == "ap(2,0)"
+        assert node["rank"] is None  # subtree never completes
+        assert len(node["classes"]) == 1
+        cls = node["classes"][0]
         assert (cls["modulus"], cls["residue"]) == (2, 0)
         assert cls["representative"] == 2 and cls["uniform"]
-        assert len(node.children) == 1
-        shift, node = node.children[0]
-        assert shift == 2
-        assert node.path == (2,) * (d + 1)
-    assert node.truncated
+        assert len(node["children"]) == 1
+        child = node["children"][0]
+        assert child["shift"] == 2
+        node = child["node"]
+        assert node["path"] == [2] * (d + 1)
+    assert node["truncated"]
 
 
 def test_tree_dump_depth_zero_and_validation():
     eng = Engine()
     dump = eng.tree_dump(A, depth=0)
-    assert dump.truncated and dump.rank is None
+    assert dump["truncated"] and dump["rank"] is None
     with pytest.raises(ValueError):
         eng.tree_dump(A, depth=-1)
 
@@ -448,9 +450,10 @@ def test_tree_dump_depth_is_bounded():
     assert MAX_DUMP_DEPTH == 200
     node = Engine().tree_dump(ap(2, 0), depth=MAX_DUMP_DEPTH)
     for depth in range(MAX_DUMP_DEPTH):
-        assert node.path == (2,) * depth and not node.truncated
-        ((_, node),) = node.children
-    assert node.truncated and not node.children
+        assert node["path"] == [2] * depth and not node["truncated"]
+        (child,) = node["children"]
+        node = child["node"]
+    assert node["truncated"] and not node["children"]
     with pytest.raises(ValueError, match=f"dump depth must be <= {MAX_DUMP_DEPTH}"):
         Engine().tree_dump(ap(2, 0), depth=MAX_DUMP_DEPTH + 1)
 
@@ -463,10 +466,10 @@ def test_tree_dump_nodes_are_replayable_derived_sets():
     dump = eng.tree_dump(a, depth=3)
 
     def walk(node):
-        assert parse_set(node.label) == eng.derived_set(a, node.path)
-        for shift, child in node.children:
-            assert child.path == node.path + (shift,)
-            walk(child)
+        assert parse_set(node["set"]) == eng.derived_set(a, node["path"])
+        for child in node["children"]:
+            assert child["node"]["path"] == node["path"] + [child["shift"]]
+            walk(child["node"])
 
     walk(dump)
 
@@ -475,14 +478,12 @@ def test_tree_dump_rank_agrees_with_tree_rank():
     eng = Engine()
     for x in (finite_set([2]), A, TWO_TAILS):
         dump = eng.tree_dump(x, depth=6)
-        assert dump.rank == eng.tree_rank(x)
+        assert dump["rank"] == eng.tree_rank(x)
 
 
 def test_tree_dump_json_and_dict():
-    import json
-
     dump = Engine().tree_dump(TWO_TAILS, depth=2)
-    data = json.loads(dump.to_json())
+    data = json.loads(json.dumps(dump))
     assert set(data) == {
         "path", "set", "in_family", "rank", "truncated", "children", "classes",
     }
@@ -495,8 +496,22 @@ def test_tree_dump_json_and_dict():
         assert c["node"]["in_family"] is False
 
 
+@pytest.mark.parametrize(
+    "universe, roots",
+    [(SymbolicUniverse(), [TWO_TAILS, ap(2, 0), ap(6, 1) | ap(4, 3) | finite_set([1, 7])]),
+     (FiniteGroupUniverse(SizeAtMost(GroupDescriptor.cyclic(5), 1)), [0b00111, 0b01011, 0b11111])],
+    ids=["Z", "Z/5"],
+)
+def test_tree_dump_is_json_native(universe, roots):
+    """A dump is made of JSON's own types: it survives a round trip, so
+    paths are lists and not tuples."""
+    for x in roots:
+        dump = Engine(universe).tree_dump(x, depth=3)
+        assert json.loads(json.dumps(dump)) == dump
+
+
 def test_tree_dump_dot():
-    dot = Engine().tree_dump(ap(2, 0), depth=2).to_dot()
+    dot = tree_dot(Engine().tree_dump(ap(2, 0), depth=2))
     assert dot.startswith("digraph derivation_tree")
     assert dot.rstrip().endswith("}")
     assert "shape=box" in dot
@@ -635,23 +650,23 @@ def test_finite_group_tree_dump_labels_and_ranks(group, top):
         dump = eng.tree_dump(x, depth=4)
 
         def walk(node):
-            y = eng.derived_set(x, node.path)
+            y = eng.derived_set(x, node["path"])
             elements = [a for a in range(group.order) if y >> a & 1]
-            assert node.label == "{" + ",".join(map(str, elements)) + "}"
-            assert node.label == universe.describe(y)
-            if node.rank is not None:
-                assert node.rank == eng.tree_rank(y)
-            for shift, child in node.children:
-                assert child.path == node.path + (shift,)
-                walk(child)
+            assert node["set"] == "{" + ",".join(map(str, elements)) + "}"
+            assert node["set"] == universe.describe(y)
+            if node["rank"] is not None:
+                assert node["rank"] == eng.tree_rank(y)
+            for child in node["children"]:
+                assert child["node"]["path"] == node["path"] + [child["shift"]]
+                walk(child["node"])
 
         walk(dump)
         rank = eng.tree_rank(x)
-        assert dump.rank == (None if rank is NOT_WELL_FOUNDED else rank)
-        ranks.add(dump.rank)
+        assert dump["rank"] == (None if rank is NOT_WELL_FOUNDED else rank)
+        ranks.add(dump["rank"])
     assert ranks == {None, *range(top + 1)}
     root = eng.tree_dump(full, depth=2)
-    assert root.label == universe.describe(full) and len(root.children) == group.order - 1
+    assert root["set"] == universe.describe(full) and len(root["children"]) == group.order - 1
 
 
 @pytest.mark.parametrize(
@@ -669,7 +684,7 @@ def test_group_match_translate_agrees_with_search_over_all_shifts(group):
 
     for x in range(1 << n):
         first = {}
-        for g in group.elements():
+        for g in range(group.order):
             first.setdefault(translate(x, g), g)
         for y in range(1 << n):
             assert universe.match_translate(x, y) == first.get(y)
@@ -720,7 +735,7 @@ def test_mask_containing_a_translate_of_itself_equals_it(group):
     """g + A inside A forces g + A == A, so a derived set matches an
     ancestor by translation only when it equals its parent."""
     for x in range(1 << group.order):
-        for g in group.elements():
+        for g in range(group.order):
             y = mask_translate(group, x, g)
             if y & ~x == 0:
                 assert y == x
@@ -735,7 +750,7 @@ def test_symbolic_set_containing_a_translate_of_itself_equals_it(rng, max_ap):
             b = a.translate(t)
             if b.intersect(a) == b:
                 assert b == a
-                moved_onto_itself += t != 0 and not a.is_empty()
+                moved_onto_itself += t != 0 and a != empty_set()
     # a nonempty set equals a nonzero translate of itself only when it is
     # periodic, so with a periodic part the implication is exercised at
     # nonzero shifts too

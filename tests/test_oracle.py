@@ -164,7 +164,6 @@ def test_frozen_z5_levels():
     assert t1.level(0b00011) == 1
     assert t1.level(0b00101) == 1
     assert t1.level(0b11111) == BOTTOM
-    assert t1.is_bottom(0b11111)
     assert t1.max_level() == 3
     assert Counter(t1.levels) == {BOTTOM: 1, 0: 6, 1: 10, 2: 10, 3: 5}
 
@@ -198,7 +197,7 @@ def test_prime_cycles_have_unique_bottom():
     for g in (Z5, Z7):
         for t in (0, 1, 2):
             tab = table(g, t)
-            bottoms = [m for m in range(1 << g.order) if tab.is_bottom(m)]
+            bottoms = [m for m in range(1 << g.order) if tab.level(m) == BOTTOM]
             assert bottoms == [(1 << g.order) - 1]
 
 
@@ -256,10 +255,10 @@ def test_structural_invariants_of_table():
             outside = [c for c in kids if not fam.contains(c)]
             if fam.contains(m):
                 assert tab.level(m) == 0
-            elif tab.is_bottom(m):
-                assert any(tab.is_bottom(c) for c in outside)
+            elif tab.level(m) == BOTTOM:
+                assert any(tab.level(c) == BOTTOM for c in outside)
             else:
-                assert all(not tab.is_bottom(c) for c in outside)
+                assert all(tab.level(c) != BOTTOM for c in outside)
                 got = 1 + max((tab.level(c) for c in outside), default=0)
                 assert tab.level(m) == got
 
@@ -288,10 +287,10 @@ def test_levels_monotone_under_subset():
         tab = table(group, t)
         full = (1 << group.order) - 1
         for m in range(full + 1):
-            lm = math.inf if tab.is_bottom(m) else tab.level(m)
+            lm = math.inf if tab.level(m) == BOTTOM else tab.level(m)
             sub = m
             while True:
-                ls = math.inf if tab.is_bottom(sub) else tab.level(sub)
+                ls = math.inf if tab.level(sub) == BOTTOM else tab.level(sub)
                 assert ls <= lm
                 if sub == 0:
                     break
@@ -369,7 +368,7 @@ def test_build_table_validation():
 
 def test_csv_schema():
     tab = table(Z5, 1)
-    lines = tab.to_csv().splitlines()
+    lines = "".join(tab.csv_chunks()).splitlines()
     assert lines[0] == "subset_bitmask,level"
     assert len(lines) == 33
     assert lines[1] == "0,0"
@@ -377,7 +376,7 @@ def test_csv_schema():
 
 
 def test_json_schema():
-    data = json.loads(table(Z5, 1).to_json())
+    data = json.loads("".join(table(Z5, 1).json_chunks()))
     assert set(data) == {"group", "size_bound", "levels"}
     assert data["group"] == "Z/5"
     assert data["size_bound"] == 1
@@ -435,11 +434,12 @@ def test_write_tables_never_holds_a_whole_file(tmp_path):
 def test_written_tables_match_to_csv_and_to_json(group, name, tmp_path):
     """Z/13 has 8192 subsets, so its files are written in two pieces."""
     tab = table(group, 1)
+    csv_text, json_text = "".join(tab.csv_chunks()), "".join(tab.json_chunks())
     csv_path, json_path = _write_tables(tab, str(tmp_path), name, 1)
     with open(csv_path, "rb") as fh:
-        assert fh.read() == tab.to_csv().encode()
+        assert fh.read() == csv_text.encode()
     with open(json_path, "rb") as fh:
-        assert fh.read() == (tab.to_json() + "\n").encode()
-    assert json.loads(tab.to_json())["levels"] == list(tab.levels)
+        assert fh.read() == (json_text + "\n").encode()
+    assert json.loads(json_text)["levels"] == list(tab.levels)
     rows = [f"{m},{v}" for m, v in enumerate(tab.levels)]
-    assert tab.to_csv().splitlines() == ["subset_bitmask,level"] + rows
+    assert csv_text.splitlines() == ["subset_bitmask,level"] + rows

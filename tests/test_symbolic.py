@@ -956,8 +956,8 @@ def test_period_property():
 
 
 def test_emptiness_and_finiteness():
-    assert empty_set().is_empty()
-    assert not finite_set([0]).is_empty()
+    assert finite_set([]) == empty_set()
+    assert finite_set([0]) != empty_set()
     assert finite_set([0]).is_finite()
     assert not ap(5, 0).is_finite()
     assert not geo(2, 1, 0, 0).is_finite()
