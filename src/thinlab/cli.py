@@ -8,10 +8,11 @@ Subcommands:
     selftest        seeded verification suites
 
 Exit codes: 0 definite level, 2 parse or configuration error, 3 outside
-the thin completion, 4 budget exhausted.  Output is deterministic except
-for the timing element, which `--no-timing` suppresses.  The env var
-THINLAB_BUDGET_NODES overrides the default node budget when --max-nodes
-is not given.
+the thin completion, 4 budget exhausted, 141 stdout closed by its reader
+(128 + SIGPIPE, as a shell reports for `yes | head`).  Output is
+deterministic except for the timing element, which `--no-timing`
+suppresses.  The env var THINLAB_BUDGET_NODES overrides the default node
+budget when --max-nodes is not given.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BOTTOM = 3
 EXIT_UNKNOWN = 4
+EXIT_PIPE = 128 + 13  # SIGPIPE
 
 DEFAULT_MAX_DEPTH = Budget.max_depth
 DEFAULT_MAX_NODES = Budget.max_nodes
@@ -52,14 +54,13 @@ def _budget(args: argparse.Namespace) -> Budget:
     nodes = args.max_nodes
     if nodes is None:
         env = os.environ.get("THINLAB_BUDGET_NODES", "")
-        nodes = int(env) if env else DEFAULT_MAX_NODES
+        try:
+            nodes = int(env) if env else DEFAULT_MAX_NODES
+        except ValueError:
+            raise ValueError(
+                f"THINLAB_BUDGET_NODES is not an integer: {short_repr(env)}"
+            ) from None
     return Budget(max_depth=args.max_depth, max_nodes=nodes)
-
-
-def _parse_error(text: str, message: str, position: int) -> int:
-    print(f"parse error: {message}", file=sys.stderr)
-    print(caret_diagram(text, position), file=sys.stderr)
-    return EXIT_CONFIG
 
 
 def _config_error(message: str) -> int:
@@ -68,29 +69,6 @@ def _config_error(message: str) -> int:
 
 
 # -- classify ---------------------------------------------------------------
-
-
-def _verdict_fields(engine: Engine, a, verdict) -> tuple[dict, int]:
-    if isinstance(verdict, ExactLevel):
-        return {"verdict": "exact_level", "level": verdict.level}, EXIT_OK
-    if isinstance(verdict, NotInThinCompletion):
-        w = verdict.witness
-        return {
-            "verdict": "not_in_thin_completion",
-            "witness": {
-                "path": list(w.path),
-                "ancestor_index": w.ancestor_index,
-                "repeat_shift": w.repeat_shift,
-                "translation": w.translation,
-                "replay_ok": engine.replay_witness(a, w),
-            },
-        }, EXIT_BOTTOM
-    assert isinstance(verdict, Unknown)
-    return {
-        "verdict": "unknown",
-        "depth_reached": verdict.depth_reached,
-        "nodes_used": verdict.nodes_used,
-    }, EXIT_UNKNOWN
 
 
 def _expression_report(text: str, work) -> tuple:
@@ -117,8 +95,24 @@ def _classify_one(text: str, args: argparse.Namespace, budget: Budget) -> tuple[
         t0 = time.perf_counter()
         verdict = engine.classify(a, budget)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        fields, code = _verdict_fields(engine, a, verdict)
-        report.update(fields)
+        if isinstance(verdict, ExactLevel):
+            report.update(verdict="exact_level", level=verdict.level)
+            code = EXIT_OK
+        elif isinstance(verdict, NotInThinCompletion):
+            w = verdict.witness
+            report.update(verdict="not_in_thin_completion", witness={
+                "path": list(w.path),
+                "ancestor_index": w.ancestor_index,
+                "repeat_shift": w.repeat_shift,
+                "translation": w.translation,
+                "replay_ok": engine.replay_witness(a, w),
+            })
+            code = EXIT_BOTTOM
+        else:
+            assert isinstance(verdict, Unknown)
+            report.update(verdict="unknown", depth_reached=verdict.depth_reached,
+                          nodes_used=verdict.nodes_used)
+            code = EXIT_UNKNOWN
         if not args.no_timing:
             report["time_ms"] = round(elapsed_ms, 3)
         return report, code
@@ -126,35 +120,29 @@ def _classify_one(text: str, args: argparse.Namespace, budget: Budget) -> tuple[
     return _expression_report(text, work)
 
 
-def _print_text_report(report: dict) -> None:
-    """A verdict on stdout, an error on stderr."""
-    if "error" in report:
+def _print_report(report: dict, as_json: bool, prefix: str = "") -> None:
+    """A report as one sorted-key JSON line, or as text: an error on
+    stderr, else one `key: value` line per field, in order.  A nested dict
+    prints its fields as `key_field`, a list comma-joined or `(empty)`, and
+    replay_ok as `replay: ok` or `replay: FAILED`."""
+    if as_json:
+        print(json.dumps(report, sort_keys=True))
+    elif "error" in report:
         if "position" in report:
-            _parse_error(report["input"], report["error"], report["position"])
+            print(f"parse error: {report['error']}", file=sys.stderr)
+            print(caret_diagram(report["input"], report["position"]), file=sys.stderr)
         else:
             _config_error(report["error"])
-        return
-
-    def emit(key, value):
-        print(f"{key}: {value}")
-
-    emit("input", report["input"])
-    emit("set", report["set"])
-    emit("verdict", report["verdict"])
-    if report["verdict"] == "exact_level":
-        emit("level", report["level"])
-    elif report["verdict"] == "not_in_thin_completion":
-        w = report["witness"]
-        emit("witness_path", ",".join(str(g) for g in w["path"]) or "(empty)")
-        emit("witness_ancestor_index", w["ancestor_index"])
-        emit("witness_repeat_shift", w["repeat_shift"])
-        emit("witness_translation", w["translation"])
-        emit("witness_replay", "ok" if w["replay_ok"] else "FAILED")
     else:
-        emit("depth_reached", report["depth_reached"])
-        emit("nodes_used", report["nodes_used"])
-    if "time_ms" in report:
-        emit("time_ms", report["time_ms"])
+        for key, value in report.items():
+            if isinstance(value, dict):
+                _print_report(value, False, f"{prefix}{key}_")
+                continue
+            if isinstance(value, list):
+                value = ",".join(map(str, value)) or "(empty)"
+            elif key == "replay_ok":
+                key, value = "replay", "ok" if value else "FAILED"
+            print(f"{prefix}{key}: {value}")
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -168,10 +156,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     worst = EXIT_OK
     for text in texts:
         report, code = _classify_one(text, args, budget)
-        if args.batch or args.format == "json":
-            print(json.dumps(report, sort_keys=True))
-        else:
-            _print_text_report(report)
+        _print_report(report, args.batch or args.format == "json")
         if worst == EXIT_OK:
             worst = code
     return worst
@@ -249,10 +234,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
     dump, code = _expression_report(args.expr, work)
     if code != EXIT_OK:
-        if args.format == "json":
-            print(json.dumps(dump, sort_keys=True))
-        else:
-            _print_text_report(dump)
+        _print_report(dump, args.format == "json")
         return code
     if args.format == "json":
         print(json.dumps(dump))
@@ -300,16 +282,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _config_error(str(exc))
 
-    rows = 1 << group.order
-    print(f"group: {group.describe()}")
-    print(f"size_bound: {args.t}")
-    print(f"rows: {rows}")
-    print(f"max_level: {table.max_level()}")
-    print(f"bottom_count: {table.bottom_count()}")
-    print(f"csv: {csv_path}")
-    print(f"json: {json_path}")
+    _print_report({
+        "group": group.describe(),
+        "size_bound": args.t,
+        "rows": 1 << group.order,
+        "max_level": table.max_level(),
+        "bottom_count": table.bottom_count(),
+        "csv": csv_path,
+        "json": json_path,
+    }, False)
     report = cross_check(table, budget)
-    print(f"cross_check: {report.summary()}")
+    _print_report({"cross_check": report.summary()}, False)
     return EXIT_OK if report.ok else 1
 
 
@@ -414,9 +397,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "classify" and not args.batch and not args.expr:
         parser.error("classify needs an expression (or --batch)")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout breaks here, not at exit
+        return code
     except ValueError as exc:
         return _config_error(str(exc))
+    except BrokenPipeError:  # what is still buffered goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations_with_replacement, product
 from random import Random
 
@@ -207,6 +208,15 @@ def _suite_union_bounds(ctx: _Ctx) -> SuiteResult:
     res.check(done == target or res.outcome != "PASS",
               "only {}/{} classified pairs found in {} attempts",
               done, target, attempts, count=0)
+    # The window pair: unions of geo(2,1,d,0) over D = {1,3,4} and
+    # E = {0,2,5,6} sit at level 2 each and reach the exact bound 7 together.
+    a, b = (reduce(SymbolicSet.union, [geo(2, 1, d, 0) for d in ds])
+            for ds in ((1, 3, 4), (0, 2, 5, 6)))
+    ok = _known(True, engine.classify(a, ctx.budget), engine.classify(b, ctx.budget))
+    if ok:  # union_level_check raises on an input it cannot classify
+        report = union_level_check(a, b, engine, ctx.budget)
+        ok = None if report.inconclusive else report.union_level == report.adjusted_bound == 7
+    res.check(ok, "window pair D={{1,3,4}}, E={{0,2,5,6}}: union level or its bound is not 7")
     return res
 
 

@@ -246,7 +246,7 @@ def test_bad_env_budget_is_a_config_error(capsys, monkeypatch, tmp_path, argv):
         argv = argv + ["--out", str(tmp_path)]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: invalid literal for int() with base 10: 'x'\n"
+    assert err == "error: THINLAB_BUDGET_NODES is not an integer: 'x'\n"
 
 
 def test_classify_requires_expression(capsys):
@@ -551,7 +551,7 @@ def test_oracle_reads_the_budget_before_building_the_table(capsys, monkeypatch, 
     monkeypatch.setenv("THINLAB_BUDGET_NODES", "x")
     code, out, err = run(capsys, "oracle", "--group", "z16", "--t", "1", "--out", str(tmp_path))
     assert (code, out) == (2, "") and calls == []
-    assert err == "error: invalid literal for int() with base 10: 'x'\n"
+    assert err == "error: THINLAB_BUDGET_NODES is not an integer: 'x'\n"
     code, _, err = run(capsys, "oracle", "--group", "q3", "--out", str(tmp_path))
     assert code == 2 and calls == []
     assert err == "error: unknown group 'q3': expected zN or bD\n"
@@ -618,13 +618,13 @@ budget: depth=32 nodes=100000
 [2/9] hierarchy-escalation ................. PASS (10 checks)
 [3/9] bottom-certificates .................. PASS (6 checks)
 [4/9] subset-sum-image-bounds .............. PASS (7923 checks)
-[5/9] union-level-bounds ................... PASS (40 checks)
+[5/9] union-level-bounds ................... PASS (41 checks)
 [6/9] boolean-non-additivity ............... PASS (984887 checks)
 [7/9] level-invariance ..................... PASS (120 checks)
 [8/9] symbolic-window-soundness ............ PASS (80 checks)
 [9/9] engine-limits ........................ PASS (8 checks)
 
-result: PASS (9 suites, 994394 checks, 0 failures, 0 unknown)
+result: PASS (9 suites, 994395 checks, 0 failures, 0 unknown)
 """
 
 SELFTEST_STARVED = """\
@@ -637,13 +637,13 @@ budget: depth=32 nodes=1
 [2/9] hierarchy-escalation ................. UNKNOWN (3 checks, 1 unknown)
 [3/9] bottom-certificates .................. PASS (6 checks)
 [4/9] subset-sum-image-bounds .............. PASS (7888 checks)
-[5/9] union-level-bounds ................... UNKNOWN (5 checks, 2 unknown)
+[5/9] union-level-bounds ................... UNKNOWN (6 checks, 3 unknown)
 [6/9] boolean-non-additivity ............... PASS (984887 checks)
 [7/9] level-invariance ..................... PASS (15 checks)
 [8/9] symbolic-window-soundness ............ PASS (10 checks)
 [9/9] engine-limits ........................ PASS (8 checks)
 
-result: PASS (9 suites, 994142 checks, 0 failures, 745 unknown)
+result: PASS (9 suites, 994143 checks, 0 failures, 746 unknown)
 """
 
 
@@ -684,7 +684,7 @@ def test_selftest_reports_broken_checks(capsys, monkeypatch):
         "[2/9] hierarchy-escalation ................. PASS (10 checks)",
         "[3/9] bottom-certificates .................. FAIL (6 checks)",
         "[4/9] subset-sum-image-bounds .............. FAIL (7888 checks)",
-        "[5/9] union-level-bounds ................... PASS (5 checks)",
+        "[5/9] union-level-bounds ................... PASS (6 checks)",
         "[6/9] boolean-non-additivity ............... PASS (984887 checks)",
         "[7/9] level-invariance ..................... PASS (15 checks)",
         "[8/9] symbolic-window-soundness ............ PASS (10 checks)",
@@ -700,7 +700,7 @@ def test_selftest_reports_broken_checks(capsys, monkeypatch):
         *(f"      ! n=2: image too small for (-3, {e})" for e in (-3, -2, -1, 1, 2)),
     ]
     assert lines[-1] == (
-        "result: FAIL (9 suites, 992889 checks, 7901 failures, 0 unknown)"
+        "result: FAIL (9 suites, 992890 checks, 7901 failures, 0 unknown)"
     )
 
 
@@ -725,6 +725,31 @@ def test_output_bytes_deterministic():
         ("selftest", "--trials", "25"),
     ):
         assert module_run(*args) == module_run(*args)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--batch"],
+    ["oracle", "--group", "z3"],
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_ends_quietly_with_141(tmp_path, argv, unbuffered):
+    """The read end of the child's stdout is closed before the child
+    starts, so its first write or flush fails.  The child stops with
+    128 + SIGPIPE and prints no traceback, whether or not stdout is
+    buffered."""
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    out_flag = ["--out", str(tmp_path)] if argv[0] == "oracle" else []
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "thinlab.cli", *argv, *out_flag],
+            input=b"geo(2,1,0,0)\n" * 50, stdout=write_end, stderr=subprocess.PIPE,
+            env=env, timeout=60, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def escalation_stage_text(level: int) -> str:
