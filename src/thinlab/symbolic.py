@@ -22,12 +22,12 @@ Canonical form
 * the finite part is disjoint from every term.
 
 Exponents stay symbolic: no operation builds b0**m0, so a tail with a huge
-start exponent costs what a small one does.  Literal GeoTerms and APTerms
-exist only where terms enter (make_set) or leave (the `geos` view of the
-printed terms geo(b0**q, cp * b0**m0, d, 0), and the `aps` view, one
-ap(p, r) per residue).  make_set builds a lone tail or a lone residue as
-it is, as each is canonical already; everything else is canonicalized by
-_normalize.
+start exponent costs what a small one does.  make_set is the one
+canonicalizer: the factories (geo, ap, finite_set, empty_set,
+random_set) and the operations (union, intersect, scale) all hand it raw
+parts.  Literal GeoTerms and APTerms appear only on the way out, in the
+`geos` view of the printed terms geo(b0**q, cp * b0**m0, d, 0) and the
+`aps` view, one ap(p, r) per residue.
 """
 
 from __future__ import annotations
@@ -125,44 +125,20 @@ def _in_tail(x: int, tail: Tail, b0: int) -> bool:
 
 @dataclass(frozen=True, order=True)
 class GeoTerm:
-    """{coeff * base**n + offset : n >= n0}; base a power >= 2 of the session base."""
+    """The printed term geo(base, coeff, offset, n0) of a tail: the `geos` view."""
 
     base: int
     coeff: int
     offset: int
     n0: int = 0
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"geometric base must be >= 2, got {self.base}")
-        if self.coeff == 0:
-            raise ValueError("geometric coefficient must be nonzero")
-        if self.n0 < 0:
-            raise ValueError(f"start index must be >= 0, got {self.n0}")
-
 
 @dataclass(frozen=True, order=True)
 class APTerm:
-    """{modulus * n + residue : n in Z} with modulus >= 1."""
+    """The printed term ap(modulus, residue) of a residue: the `aps` view."""
 
     modulus: int
     residue: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"progression modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError(f"residue {self.residue} not reduced mod {self.modulus}")
-
-
-def _geo_parts(term: GeoTerm, b0: int) -> Tail:
-    """The tail (reduced coeff, offset, start exponent, exponent step) of a
-    literal term over base b0."""
-    j = _solve_pow(term.base, 1, b0)
-    if j is None or j == 0:
-        raise ValueError(f"base {term.base} is not a positive power of session base {b0}")
-    t, cp = _val(b0, term.coeff)
-    return cp, term.offset, t + j * term.n0, j
 
 
 def _split_at_period(tails: Sequence[Tail], p: int, b0: int) -> Iterator[tuple[Tail, int]]:
@@ -235,18 +211,34 @@ def _decompose_family(
     return tails, sorted(leftovers)
 
 
-def _normalize(
-    base: int,
-    finite: Iterable[int],
-    parts: Sequence[Tail],
-    periodic: Iterable[tuple[int, Collection[int]]],
+def _check_base(base: int) -> None:
+    if base < 2:
+        raise ValueError(f"session base must be >= 2, got {base}")
+
+
+def make_set(
+    finite: Iterable[int] = (),
+    tails: Iterable[Tail] = (),
+    periodic: Iterable[tuple[int, Collection[int]]] = (),
+    base: int = DEFAULT_BASE,
 ) -> SymbolicSet:
-    """The canonical set of raw parts: tails need not be canonical, and
-    the periodic parts (modulus, residues) may mix moduli."""
+    """The canonical set of raw parts: finite values, tails (cp, d, m0, q)
+    with cp free of factors of b0 that need not be canonical, and periodic
+    parts (modulus, residues) that may mix moduli.  One tail alone or one
+    residue alone is canonical already and is built as it is: a tail has no
+    lower exponent to extend to, and a residue mod c has minimal period c."""
+    _check_base(base)
     finite = set(finite)
+    tails = list(tails)
     periodic = [(m, rs) for m, rs in periodic if rs]
-    if not parts and not periodic:  # a finite set is canonical once sorted
+    if not tails and not periodic:  # a finite set is canonical once sorted
         return SymbolicSet(tuple(sorted(finite)), base=base)
+    if not finite and len(tails) + len(periodic) == 1:
+        if tails:
+            return SymbolicSet(tails=(tails[0],), base=base)
+        m, rs = periodic[0]
+        if len(rs) == 1:
+            return SymbolicSet((), (), m, frozenset(rs), base)
 
     # Periodic part: the union of the input progressions is itself the
     # maximal periodic subset (geometric tails are too sparse to complete
@@ -279,9 +271,9 @@ def _normalize(
     # set, not on how it was presented, at the cost of letting two tails
     # share finitely many values.  The exponents whose value lies in the
     # periodic part are cut away before each family is decomposed.
-    pieces: list[Tail] = list(parts)
-    partners = _partner_index(parts)
-    for cp, d in {t[:2] for t in parts}:
+    pieces = list(tails)
+    partners = _partner_index(tails)
+    for cp, d in {t[:2] for t in tails}:
         values = list(finite)
         for part in partners(cp, d):
             if part[:2] != (cp, d):
@@ -290,19 +282,19 @@ def _normalize(
             m = _solve_pow(v - d, cp, base)
             if m is not None:
                 pieces.append((cp, d, m, 0))
-    if p is not None and parts:
+    if p is not None and tails:
         pieces = [t for t, r in _split_at_period(pieces, p, base) if r not in residues]
     fams: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for cp, d, m, q in pieces:
         fams.setdefault((cp, d), []).append((m, q))
 
-    tails: list[Tail] = []
+    canonical: list[Tail] = []
     pool: set[int] = set(finite)
     for (cp, d), fam in fams.items():
         fam_tails, leftovers = _decompose_family(fam)
-        tails.extend((cp, d, m0, q) for m0, q in fam_tails)
+        canonical.extend((cp, d, m0, q) for m0, q in fam_tails)
         pool.update(cp * base**m + d for m in leftovers)
-    terms = SymbolicSet((), tuple(sorted(tails)), p, residues, base)
+    terms = SymbolicSet((), tuple(sorted(canonical)), p, residues, base)
     kept = pool - terms._in_terms(pool)
     return SymbolicSet(tuple(sorted(kept)), terms.tails, p, residues, base) if kept else terms
 
@@ -396,7 +388,7 @@ class SymbolicSet:
         """k * A for k != 0.  Renormalizes: scaling can move cross-key
         coincidences across the exponent-zero boundary, and cp * k can
         gain factors of b0, which move into the tail's start exponent.
-        Tails and residues reach _normalize in their stored form."""
+        Tails and residues reach make_set in their stored form."""
         if k == 0:
             raise ValueError("cannot scale a set by 0")
         if k == 1:
@@ -408,16 +400,16 @@ class SymbolicSet:
             tails.append((ck, d * k, m0 + t, q))
         pk = p * abs(k) if p is not None else 1  # no residues: no periodic part
         periodic = [(pk, [r * k % pk for r in self.residues])]
-        return _normalize(b0, [x * k for x in self.finite], tails, periodic)
+        return make_set([x * k for x in self.finite], tails, periodic, b0)
 
     def union(self, *others: "SymbolicSet") -> "SymbolicSet":
         """The union of self and others, canonicalized once."""
         sets = (self,) + others
-        return _normalize(
-            self._common_base(*others),
+        return make_set(
             [x for s in sets for x in s.finite],
             [t for s in sets for t in s.tails],
             [(s.period, s.residues) for s in sets],
+            self._common_base(*others),
         )
 
     def __or__(self, other: "SymbolicSet") -> "SymbolicSet":
@@ -452,7 +444,7 @@ class SymbolicSet:
             meet.append(_residue_meet(
                 self.period, self.residues, other.period, other.residues
             ))
-        return _normalize(b0, fin, tails, meet)
+        return make_set(fin, tails, meet, b0)
 
     def __and__(self, other: "SymbolicSet") -> "SymbolicSet":
         return self.intersect(other)
@@ -627,28 +619,6 @@ class ShiftSpectrum:
     classes: tuple[ClassShift, ...]
 
 
-def make_set(
-    finite: Iterable[int] = (),
-    geos: Iterable[GeoTerm] = (),
-    aps: Iterable[APTerm] = (),
-    base: int = DEFAULT_BASE,
-) -> SymbolicSet:
-    """Normalize raw parts into a canonical SymbolicSet.  One tail alone
-    or one residue alone is canonical already and is built as it is: a
-    tail (cp, d, m0, q) has no lower exponent to extend to, and the
-    residue of ap(c, d) has minimal period c."""
-    if base < 2:
-        raise ValueError(f"session base must be >= 2, got {base}")
-    parts = [_geo_parts(t, base) for t in geos]
-    periodic = [(t.modulus, frozenset([t.residue])) for t in aps]
-    finite = list(finite)
-    if not finite and len(parts) + len(periodic) == 1:
-        if parts:
-            return SymbolicSet(tails=(parts[0],), base=base)
-        return SymbolicSet((), (), *periodic[0], base)
-    return _normalize(base, finite, parts, periodic)
-
-
 def finite_set(xs: Iterable[int], base: int = DEFAULT_BASE) -> SymbolicSet:
     return make_set(xs, base=base)
 
@@ -658,18 +628,27 @@ def empty_set(base: int = DEFAULT_BASE) -> SymbolicSet:
 
 
 def geo(b: int, c: int, d: int, n0: int = 0, base: int = DEFAULT_BASE) -> SymbolicSet:
-    return make_set(geos=[GeoTerm(b, c, d, n0)], base=base)
-
-
-def _ap_term(c: int, d: int) -> APTerm:
-    """The term ap(c, d): the modulus is checked before d is reduced mod c."""
-    if c < 1:
-        raise ValueError(f"progression modulus must be >= 1, got {c}")
-    return APTerm(c, d % c)
+    """{c * b**n + d : n >= n0}, b = b0**j: the tail (cp, d, t + j * n0, j)
+    for c = cp * b0**t.  The term is checked before the session base."""
+    if b < 2:
+        raise ValueError(f"geometric base must be >= 2, got {b}")
+    if c == 0:
+        raise ValueError("geometric coefficient must be nonzero")
+    if n0 < 0:
+        raise ValueError(f"start index must be >= 0, got {n0}")
+    _check_base(base)
+    j, unit = _val(base, b)
+    if unit != 1:
+        raise ValueError(f"base {b} is not a positive power of session base {base}")
+    t, cp = _val(base, c)
+    return make_set(tails=[(cp, d, t + j * n0, j)], base=base)
 
 
 def ap(c: int, d: int, base: int = DEFAULT_BASE) -> SymbolicSet:
-    return make_set(aps=[_ap_term(c, d)], base=base)
+    """{c * n + d : n in Z}: the modulus is checked before d is reduced mod c."""
+    if c < 1:
+        raise ValueError(f"progression modulus must be >= 1, got {c}")
+    return make_set(periodic=[(c, (d % c,))], base=base)
 
 
 def random_set(
@@ -680,15 +659,15 @@ def random_set(
     max_finite: int = 4,
 ) -> SymbolicSet:
     """Random canonical set, for property tests and self-checks."""
-    geos = []
+    tails = []
     for _ in range(rng.randrange(max_geo + 1)):
         j = rng.choice([1, 1, 1, 2, 3])
         c = rng.randrange(-9, 10) or 1
         d = rng.randrange(-9, 10)
-        geos.append(GeoTerm(base**j, c, d, rng.randrange(3)))
-    aps = []
+        tails += geo(base**j, c, d, rng.randrange(3), base).tails
+    periodic = []
     for _ in range(rng.randrange(max_ap + 1)):
         c = rng.randrange(2, 13)
-        aps.append(APTerm(c, rng.randrange(c)))
+        periodic.append((c, (rng.randrange(c),)))
     fin = [rng.randrange(-30, 31) for _ in range(rng.randrange(max_finite + 1))]
-    return make_set(fin, geos, aps, base=base)
+    return make_set(fin, tails, periodic, base)

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,11 @@ from thinlab.dsl import caret_diagram, parse_set
 from thinlab.engine import MAX_DUMP_DEPTH, Engine
 
 LEVEL2 = "3*geo(2,1,0,0) | (3*geo(2,1,0,0)+1)"
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# the environment of a child `python -m thinlab.cli`: this checkout's src/
+# on its path, whether or not the caller set PYTHONPATH
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 
 def run(capsys, *argv):
@@ -199,7 +205,7 @@ def test_huge_start_index_reports_at_once(command):
         proc = subprocess.run(
             [sys.executable, "-m", "thinlab.cli", *(expr if a == "EXPR" else a for a in command)],
             capture_output=True, text=True, timeout=10, check=False,
-            preexec_fn=_limit_address_space,
+            preexec_fn=_limit_address_space, env=CHILD_ENV,
         )
         return proc.returncode, proc.stdout.replace(expr, "EXPR"), proc.stderr
 
@@ -714,6 +720,7 @@ def module_run(*args: str) -> bytes:
         [sys.executable, "-m", "thinlab.cli", *args],
         capture_output=True,
         check=False,
+        env=CHILD_ENV,
     )
     return proc.stdout
 
@@ -737,7 +744,7 @@ def test_a_closed_stdout_ends_quietly_with_141(tmp_path, argv, unbuffered):
     starts, so its first write or flush fails.  The child stops with
     128 + SIGPIPE and prints no traceback, whether or not stdout is
     buffered."""
-    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    env = {**CHILD_ENV, "PYTHONUNBUFFERED": unbuffered}
     out_flag = ["--out", str(tmp_path)] if argv[0] == "oracle" else []
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -771,7 +778,7 @@ def test_classify_escalation_stage_8_in_seconds():
     proc = subprocess.run(
         [sys.executable, "-m", "thinlab.cli", "classify", escalation_stage_text(8),
          "--no-timing"],
-        capture_output=True, text=True, timeout=10, check=False,
+        capture_output=True, text=True, timeout=10, check=False, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert "level: 8\n" in proc.stdout
@@ -783,7 +790,7 @@ def test_classify_escalation_stage_10_with_a_larger_budget():
     proc = subprocess.run(
         [sys.executable, "-m", "thinlab.cli", "classify", escalation_stage_text(10),
          "--no-timing", "--max-nodes", "1000000"],
-        capture_output=True, text=True, timeout=120, check=False,
+        capture_output=True, text=True, timeout=120, check=False, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert "level: 10\n" in proc.stdout

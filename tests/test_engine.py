@@ -23,10 +23,7 @@ from thinlab.engine import (
 from thinlab.groups import GroupDescriptor, mask_translate
 from thinlab.ideals import SizeAtMost
 from thinlab.symbolic import (
-    APTerm,
-    GeoTerm,
     SymbolicSet,
-    _geo_parts,
     ap,
     empty_set,
     finite_set,
@@ -261,8 +258,8 @@ def test_level_is_one_plus_largest_cube_in_offsets():
         a = SymbolicSet(tails=tuple((25, d, 0, 1) for d in offsets))
         assert eng.classify(a) == ExactLevel(best[mask] + 1), offsets
     whole = range(span + 1)
-    assert SymbolicSet(tails=tuple((25, d, 0, 1) for d in whole)) == make_set(
-        geos=[GeoTerm(2, 25, d) for d in whole]
+    assert SymbolicSet(tails=tuple((25, d, 0, 1) for d in whole)) == empty_set().union(
+        *[geo(2, 25, d) for d in whole]
     )
 
 
@@ -276,12 +273,12 @@ def test_cube_levels_agree_with_tree_rank(base):
     deep = 0
     for _ in range(150):
         geos = [
-            GeoTerm(base ** rng.choice([1, 1, 2, 3]), rng.choice([1, 1, -1, base]),
-                    rng.randrange(8), rng.randrange(3))
+            geo(base ** rng.choice([1, 1, 2, 3]), rng.choice([1, 1, -1, base]),
+                rng.randrange(8), rng.randrange(3), base=base)
             for _ in range(rng.randrange(1, 7))
         ]
         finite = [rng.randrange(-20, 21) for _ in range(rng.randrange(3))]
-        a = make_set(finite, geos, base=base)
+        a = finite_set(finite, base=base).union(*geos)
         verdict = Engine().classify(a)
         assert verdict == ExactLevel(Engine().tree_rank(a)), a
         deep += verdict.level >= 3
@@ -702,10 +699,10 @@ def test_periodic_anchor_and_match_translate_agree_with_search_over_all_shifts()
 
     for p in range(1, 11):
         for mask in range(1, 1 << p):
-            x = make_set(aps=[APTerm(p, r) for r in range(p) if mask >> r & 1])
+            x = make_set(periodic=[(p, [r for r in range(p) if mask >> r & 1])])
             if x.period != p:
                 continue  # the same set as a subset of Z/period, seen before
-            mirror = make_set(aps=[APTerm(p, -r % p) for r in range(p) if mask >> r & 1])
+            mirror = make_set(periodic=[(p, [-r % p for r in range(p) if mask >> r & 1])])
             for t in range(p):
                 y = x.translate(t)
                 for z in (y, mirror.translate(t)):
@@ -777,17 +774,17 @@ def test_level_at_most_number_of_keys(rng):
     with nearby offsets and shared coefficients give the deeper levels."""
 
     def clustered(base):
-        return make_set([], [
-            GeoTerm(base, rng.choice([1, 3]), rng.randrange(6), rng.randrange(2))
+        return empty_set(base).union(*[
+            geo(base, rng.choice([1, 3]), rng.randrange(6), rng.randrange(2), base=base)
             for _ in range(rng.randrange(1, 6))
-        ], base=base)
+        ])
 
     levels = set()
     for base in (2, 3):
         eng = Engine()
         for _ in range(500):
             for a in (random_set(rng, base=base, max_geo=4, max_ap=0), clustered(base)):
-                keys = {_geo_parts(t, base)[:2] for t in a.geos}
+                keys = {t[:2] for t in a.tails}
                 verdict = eng.classify(a)
                 assert isinstance(verdict, ExactLevel)
                 assert verdict.level <= len(keys)

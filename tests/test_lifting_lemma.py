@@ -35,7 +35,7 @@ from thinlab.engine import Engine, ExactLevel
 from thinlab.groups import GroupDescriptor
 from thinlab.ideals import SizeAtMost
 from thinlab.oracle import build_table
-from thinlab.symbolic import GeoTerm, make_set
+from thinlab.symbolic import empty_set, geo
 
 L = 11
 
@@ -58,7 +58,7 @@ def test_every_offset_set_below_eleven_classifies_at_its_table_level(z22):
     engine = Engine()
     counts = [0] * (L + 1)
     for mask in range(1, 1 << L):
-        a = make_set(geos=[GeoTerm(2, 1, d) for d in _offsets(mask)])
+        a = empty_set().union(*[geo(2, 1, d) for d in _offsets(mask)])
         level = z22.level(mask)
         assert engine.classify(a) == ExactLevel(level), _offsets(mask)
         counts[level] += 1
@@ -146,5 +146,5 @@ def test_union_windows_from_the_table(z22):
     assert splits[_mask(d + e)] == 2
     engine = Engine()
     for offsets, level in ((d, 2), (e, 2), (d + e, 7)):
-        a = make_set(geos=[GeoTerm(2, 1, x) for x in offsets])
+        a = empty_set().union(*[geo(2, 1, x) for x in offsets])
         assert engine.classify(a) == ExactLevel(level)

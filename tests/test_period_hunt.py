@@ -15,7 +15,7 @@ import pytest
 from thinlab.dsl import parse_set
 from thinlab.engine import Budget, CycleWitness, Engine, NotInThinCompletion
 import thinlab.symbolic
-from thinlab.symbolic import SymbolicSet, _normalize, ap, finite_set, geo, random_set
+from thinlab.symbolic import SymbolicSet, ap, finite_set, geo, make_set, random_set
 
 # periodic sets with many split tails, mixed moduli, a lone periodic part, Z
 PERIOD_ROWS = [
@@ -63,7 +63,7 @@ def test_remainder_hunt_matches_the_full_chain(seed):
             continue
         seen += 1
         rest = SymbolicSet(x.finite, x.tails, None, frozenset(), x.base)
-        assert rest == _normalize(x.base, x.finite, x.tails, [])
+        assert rest == make_set(x.finite, x.tails, base=x.base)
         _check(x)
 
 

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from thinlab.symbolic import (
     APTerm,
-    GeoTerm,
     SymbolicSet,
     ap,
     empty_set,
@@ -26,10 +25,8 @@ from thinlab.symbolic import (
     _crt,
     _decompose_family,
     _geo_geo,
-    _geo_parts,
     _in_tail,
     _minimal_shift_period,
-    _normalize,
     _orbit_split,
     _partner_index,
     _powmod_orbit,
@@ -61,6 +58,24 @@ def brute_eval(finite, geos, aps, lo, hi):
     return out
 
 
+def build(finite, geos, aps, base=2):
+    """The set of raw term arguments, built through the factories: one
+    canonicalization of all the parts."""
+    terms = [geo(b, c, d, n0, base=base) for b, c, d, n0 in geos]
+    terms += [ap(m, r, base=base) for m, r in aps]
+    return finite_set(finite, base=base).union(*terms)
+
+
+def rebuild(a: SymbolicSet) -> SymbolicSet:
+    """The set the printed views of a spell, rebuilt through the factories."""
+    return build(
+        a.finite,
+        [(t.base, t.coeff, t.offset, t.n0) for t in a.geos],
+        [(t.modulus, t.residue) for t in a.aps],
+        a.base,
+    )
+
+
 def brute_of(a: SymbolicSet, lo: int, hi: int):
     return brute_eval(
         a.finite,
@@ -77,23 +92,23 @@ def brute_of(a: SymbolicSet, lo: int, hi: int):
 
 
 def test_geo_term_validation():
-    GeoTerm(2, 1, 0, 0)
-    with pytest.raises(ValueError):
-        GeoTerm(1, 1, 0, 0)
-    with pytest.raises(ValueError):
-        GeoTerm(2, 0, 0, 0)
-    with pytest.raises(ValueError):
-        GeoTerm(2, 1, 0, -1)
+    geo(2, 1, 0, 0)
+    with pytest.raises(ValueError, match=r"^geometric base must be >= 2, got 1$"):
+        geo(1, 1, 0, 0)
+    with pytest.raises(ValueError, match=r"^geometric coefficient must be nonzero$"):
+        geo(2, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"^start index must be >= 0, got -1$"):
+        geo(2, 1, 0, -1)
 
 
 def test_ap_term_validation():
-    APTerm(1, 0)
-    with pytest.raises(ValueError):
-        APTerm(0, 0)
-    with pytest.raises(ValueError):
-        APTerm(4, 4)
-    with pytest.raises(ValueError):
-        APTerm(4, -1)
+    """ap refuses a modulus below 1, and reduces the residue mod the
+    modulus rather than refusing it."""
+    ap(1, 0)
+    with pytest.raises(ValueError, match=r"^progression modulus must be >= 1, got 0$"):
+        ap(0, 0)
+    assert ap(4, 4) == ap(4, 0) and ap(4, 4).residues == frozenset([0])
+    assert ap(4, -1) == ap(4, 3) and ap(4, -1).residues == frozenset([3])
 
 
 @pytest.mark.parametrize("c", [0, -3])
@@ -107,12 +122,12 @@ def test_progression_modulus_checked_before_reduction(c):
 
 def test_session_base_compatibility():
     with pytest.raises(ValueError):
-        make_set(geos=[GeoTerm(3, 1, 0, 0)], base=2)
+        geo(3, 1, 0, 0, base=2)
     with pytest.raises(ValueError):
         make_set(base=1)
     # powers of the session base are fine
-    make_set(geos=[GeoTerm(8, 1, 0, 0)], base=2)
-    make_set(geos=[GeoTerm(9, 1, 0, 0)], base=3)
+    geo(8, 1, 0, 0, base=2)
+    geo(9, 1, 0, 0, base=3)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +153,8 @@ def test_member_and_the_bulk_test_agree_with_the_residues(rng):
     """member and the bulk test _in_terms both give the definition: x mod p
     among the residues, or x in a tail."""
     for _ in range(10):
-        a = make_set(
-            aps=[APTerm(m, rng.randrange(m)) for m in rng.sample([5, 7, 11, 13, 17], 3)],
-            geos=[GeoTerm(2, rng.randint(1, 5), rng.randint(-9, 9), 0)],
-        )
+        aps = [(m, rng.randrange(m)) for m in rng.sample([5, 7, 11, 13, 17], 3)]
+        a = build([], [(2, rng.randint(1, 5), rng.randint(-9, 9), 0)], aps)
         xs = range(-200, 200)
         want = {x for x in xs if x % a.period in set(a.residues)
                 or any(_in_tail(x, t, a.base) for t in a.tails)}
@@ -180,17 +193,11 @@ def test_window_huge_endpoints():
     st.integers(-120, 120),
 )
 def test_normalization_preserves_denotation(finite, geo_specs, ap_specs, lo):
-    geos = [GeoTerm(2**j, c, d, n0) for j, c, d, n0 in geo_specs]
-    aps = [APTerm(m, r % m) for m, r in ap_specs]
-    a = make_set(finite, geos, aps)
+    geos = [(2**j, c, d, n0) for j, c, d, n0 in geo_specs]
+    aps = [(m, r % m) for m, r in ap_specs]
+    a = build(finite, geos, aps)
     hi = lo + 150
-    expected = brute_eval(
-        finite,
-        [(t.base, t.coeff, t.offset, t.n0) for t in geos],
-        [(t.modulus, t.residue) for t in aps],
-        lo,
-        hi,
-    )
+    expected = brute_eval(finite, geos, aps, lo, hi)
     assert set(a.window(lo, hi)) == expected
     for x in list(expected)[:20]:
         assert a.member(x)
@@ -206,7 +213,8 @@ def test_canonical_form_invariants(rng):
         a = random_set(rng)
         # finite part disjoint from all terms
         for x in a.finite:
-            assert not any(_in_tail(x, _geo_parts(t, t.base), t.base) for t in a.geos)
+            assert not any(x in geo(t.base, t.coeff, t.offset, t.n0, base=a.base)
+                           for t in a.geos)
             assert not any((x - t.residue) % t.modulus == 0 for t in a.aps)
         # no geo term inside the periodic part
         for t in a.geos:
@@ -228,13 +236,13 @@ def test_canonical_form_invariants(rng):
             assert _minimal_shift_period(a.period, a.residues) == a.period
         assert a.aps == tuple(APTerm(a.period, r) for r in sorted(a.residues))
         # idempotence
-        assert make_set(a.finite, a.geos, a.aps, base=a.base) == a
+        assert rebuild(a) == a
 
 
 def _equivalent_presentation(a: SymbolicSet, rng: random.Random):
-    """Raw parts denoting the same set, built by shifting tail starts,
-    splitting terms by exponent parity, and spilling members into the
-    finite part."""
+    """Raw term arguments denoting the same set, built by shifting tail
+    starts, splitting terms by exponent parity, and spilling members into
+    the finite part."""
     finite = list(a.finite)
     geos = []
     aps = []
@@ -244,18 +252,16 @@ def _equivalent_presentation(a: SymbolicSet, rng: random.Random):
             finite.append(t.coeff * t.base ** (t.n0 + i) + t.offset)
         n0 = t.n0 + j
         if rng.random() < 0.5:
-            geos.append(GeoTerm(t.base, t.coeff, t.offset, n0))
+            geos.append((t.base, t.coeff, t.offset, n0))
         else:
-            geos.append(GeoTerm(t.base**2, t.coeff * t.base**n0, t.offset, 0))
-            geos.append(
-                GeoTerm(t.base**2, t.coeff * t.base ** (n0 + 1), t.offset, 0)
-            )
+            geos.append((t.base**2, t.coeff * t.base**n0, t.offset, 0))
+            geos.append((t.base**2, t.coeff * t.base ** (n0 + 1), t.offset, 0))
     for t in a.aps:
         if rng.random() < 0.5:
-            aps.append(t)
+            aps.append((t.modulus, t.residue))
         else:
-            aps.append(APTerm(2 * t.modulus, t.residue))
-            aps.append(APTerm(2 * t.modulus, t.residue + t.modulus))
+            aps.append((2 * t.modulus, t.residue))
+            aps.append((2 * t.modulus, t.residue + t.modulus))
         finite.append(t.residue + 3 * t.modulus)
     rng.shuffle(finite)
     rng.shuffle(geos)
@@ -266,7 +272,7 @@ def test_canonical_form_is_history_free(rng):
     for _ in range(400):
         a = random_set(rng)
         finite, geos, aps = _equivalent_presentation(a, rng)
-        assert make_set(finite, geos, aps, base=a.base) == a
+        assert build(finite, geos, aps, base=a.base) == a
 
 
 def test_equal_denotation_equal_form_regression():
@@ -276,15 +282,15 @@ def test_equal_denotation_equal_form_regression():
     z = ap(10, 5) | ap(10, 6) | ap(10, 8)
     one = (x | y) | z
     two = x | (y | z)
-    rebuilt = make_set(two.finite, two.geos, two.aps)
+    rebuilt = rebuild(two)
     assert one == two == rebuilt
 
 
 def test_ap_merge_to_minimal_period():
-    merged = make_set(aps=[APTerm(4, 1), APTerm(4, 3)])
+    merged = make_set(periodic=[(4, (1,)), (4, (3,))])
     assert merged == ap(2, 1)
     assert merged.period == 2
-    assert make_set(aps=[APTerm(3, 0), APTerm(3, 1), APTerm(3, 2)]) == ap(1, 0)
+    assert make_set(periodic=[(3, (0,)), (3, (1,)), (3, (2,))]) == ap(1, 0)
 
 
 def test_geo_absorbed_by_progression():
@@ -309,7 +315,7 @@ def test_translate_is_canonical(rng):
         a = random_set(rng)
         g = rng.randint(-60, 60)
         moved = a.translate(g)
-        assert make_set(moved.finite, moved.geos, moved.aps, base=a.base) == moved
+        assert rebuild(moved) == moved
         lo = rng.randint(-100, 40)
         window = set(moved.window(lo, lo + 80))
         assert window == {x + g for x in a.window(lo - g, lo + 80 - g)}
@@ -561,8 +567,8 @@ def test_geo_geo_tests_two_exponents_like_the_walk():
 def _reference_intersect(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     """a & b with no pair skipped: every tail of a meets every tail of b
     through _geo_geo, and every cross-key coincidence among the resulting
-    tails is handed to _normalize as a finite value, so the partner index
-    inside _normalize has nothing left to find."""
+    tails is handed to make_set as a finite value, so the partner index
+    inside make_set has nothing left to find."""
     b0 = a._common_base(b)
     fin = {x for x in a.finite if b.member(x)} | {x for x in b.finite if a.member(x)}
     tails = []
@@ -586,7 +592,7 @@ def _reference_intersect(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     meet = []
     if a.period is not None and b.period is not None:
         meet.append(_residue_meet(a.period, a.residues, b.period, b.residues))
-    return _normalize(b0, fin, tails, meet)
+    return make_set(fin, tails, meet, b0)
 
 
 def test_intersect_matches_all_pairs_reference(rng):
@@ -829,7 +835,7 @@ def test_single_progression_family_matches_the_general_decomposition():
 
 
 def test_finite_only_normalize_is_the_sorted_distinct_tuple():
-    """With no tails and no periodic part, _normalize returns the sorted,
+    """With no tails and no periodic part, make_set returns the sorted,
     distinct finite part; an empty residue set, as a union of finite sets
     passes, counts as no periodic part."""
     rng = random.Random(41)
@@ -837,8 +843,8 @@ def test_finite_only_normalize_is_the_sorted_distinct_tuple():
         xs = [rng.randrange(-40, 41) for _ in range(rng.randrange(12))]
         xs += rng.sample(xs, len(xs) // 2)
         want = SymbolicSet(tuple(sorted(set(xs))), (), None, frozenset(), 3)
-        assert _normalize(3, xs, [], []) == want
-        assert _normalize(3, xs, [], [(None, frozenset())]) == want
+        assert make_set(xs, base=3) == want
+        assert make_set(xs, [], [(None, frozenset())], 3) == want
 
 
 def test_orbit_split_matches_stepping_loop():
